@@ -92,7 +92,7 @@ void print_report() {
     };
 
     std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    for (std::size_t docs : {16, 64, 256}) {
+    for (std::size_t docs : {16, 64, 256, 1024}) {
         bench::Corpus corpus = bench::Corpus::bibliography(docs, 400);
 
         // Paper mapping, serial row-at-a-time loader.

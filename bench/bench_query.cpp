@@ -76,8 +76,8 @@ struct Loaded {
         stack.loader->resolve_references();
         // Index the selective predicate column — the paper's "is there a
         // need of index structures for XML data?" made concrete.
-        stack.db.require("article").create_index("title");
-        stack.db.require("name").create_index("lastname");
+        stack.db.create_index("article", "title");
+        stack.db.create_index("name", "lastname");
     }
 };
 

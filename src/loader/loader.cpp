@@ -145,6 +145,7 @@ void Loader::build_plans() {
         auto plan = std::make_unique<RefPlan>();
         plan->table = &t;
         plan->storage = db_.table(t.name);
+        plan->pk_col = col(t, "pk");
         plan->doc_col = col(t, "doc");
         plan->source_col = col(t, "source_pk");
         plan->idref_col = col(t, "idref");
@@ -314,6 +315,10 @@ std::int64_t Loader::load(xml::Document& doc, const LoadOptions& options) {
         next_label_ += doc_stats.label_span;
         if (options.resolve_references) resolve_references(doc_stats);
         db_.commit_unit();
+        // Committed for good (not nested in a caller's unit): the pass's
+        // scan watermark becomes the next pass's starting row.
+        if (options.resolve_references && !db_.in_unit())
+            for (auto& ref : ref_plans_) ref->scanned = ref->pass;
         // Lifetime stats absorb the document only once it committed;
         // unresolved_references stays a snapshot of the latest pass.
         std::size_t unresolved = doc_stats.unresolved_references;
@@ -869,7 +874,26 @@ void Loader::resolve_references_in(RefPlan& ref, LoadStats& stats) {
     int reg_entity = col(rt, "entity");
     int reg_pk = col(rt, "entity_pk");
 
-    for (rdb::RowId id = 0; id < ref.storage->row_count(); ++id) {
+    // Rows below the committed watermark cannot resolve any more (see
+    // RefPlan::Watermark); without document-scoped matching, or when the
+    // watermark row moved (compaction), rescan from row zero.
+    auto last_pk = [&](std::size_t rows) {
+        return rows == 0 || ref.pk_col < 0
+                   ? Value()
+                   : ref.storage->row(static_cast<rdb::RowId>(rows - 1))
+                         [ref.pk_col];
+    };
+    const RefPlan::Watermark& mark = ref.scanned;
+    std::size_t from = 0;
+    std::size_t unresolved = 0;
+    if (ref.doc_col >= 0 && reg_doc >= 0 && ref.pk_col >= 0 &&
+        mark.rows <= ref.storage->row_count() &&
+        last_pk(mark.rows) == mark.last_pk) {
+        from = mark.rows;
+        unresolved = mark.unresolved;
+    }
+    for (auto id = static_cast<rdb::RowId>(from); id < ref.storage->row_count();
+         ++id) {
         const rdb::Row& row = ref.storage->row(id);
         if (!row[ref.target_pk_col].is_null()) continue;
         fault::maybe_fail("loader.resolve");
@@ -889,8 +913,11 @@ void Loader::resolve_references_in(RefPlan& ref, LoadStats& stats) {
             break;
         }
         if (resolved) ++stats.resolved_references;
-        else ++stats.unresolved_references;
+        else ++unresolved;
     }
+    stats.unresolved_references += unresolved;
+    ref.pass = {ref.storage->row_count(), unresolved,
+                last_pk(ref.storage->row_count())};
 }
 
 }  // namespace xr::loader

@@ -5,9 +5,10 @@
 // path-query text; a pool of worker threads executes them against the
 // shared MiniRDB instance.  Three mechanisms make that safe and fast:
 //
-//   * every SELECT runs under a rdb::ReadSnapshot — a shared latch plus
-//     the commit watermark observed at acquisition, so a query sees one
-//     committed state even while loads or checkpoints run;
+//   * every SELECT runs under a rdb::ReadSnapshot — a pinned immutable
+//     database version (DESIGN.md §15) named by the commit watermark it
+//     was published at, so a query sees one committed state and takes no
+//     latch, even while loads or checkpoints run;
 //   * translated plans are cached (xquery::TranslationCache) keyed by
 //     normalized path-query text — translation is pure, so plan entries
 //     never go stale;

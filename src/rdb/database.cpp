@@ -46,7 +46,8 @@ std::string MvccStats::to_string() const {
     out << "mvcc: " << versions_published << " version(s) published, "
         << versions_live << " live, " << versions_retired << " retired; "
         << tables_republished << " table clone(s), " << chunks_cowed
-        << " chunk(s) and " << indexes_cowed << " index(es) copied on write";
+        << " chunk(s) copied on write, " << indexes_cowed
+        << " index copy event(s) over " << index_nodes_cowed << " node(s)";
     return out.str();
 }
 
@@ -151,6 +152,7 @@ MvccStats Database::mvcc_stats() const {
     for (const auto& t : tables_) {
         stats.chunks_cowed += t->chunks_cowed();
         stats.indexes_cowed += t->indexes_cowed();
+        stats.index_nodes_cowed += t->index_nodes_cowed();
     }
     return stats;
 }
@@ -471,6 +473,15 @@ Table& Database::create_table(TableDef def) {
     // unit the writer mutex is already held by this thread.
     std::unique_lock<std::mutex> guard(writer_mu_, std::defer_lock);
     if (unit_depth_ == 0) guard.lock();
+    Table& t = add_table(std::move(def));
+    if (unit_depth_ == 0) {
+        commit_watermark_.fetch_add(1, std::memory_order_release);
+        publish_version();
+    }
+    return t;
+}
+
+Table& Database::add_table(TableDef def) {
     if (table(def.name) != nullptr)
         throw SchemaError("table '" + def.name + "' already exists");
     tables_.push_back(std::make_unique<Table>(std::move(def)));
@@ -489,11 +500,20 @@ Table& Database::create_table(TableDef def) {
         }
         t.set_mutation_log(wal_.get());
     }
+    return t;
+}
+
+void Database::create_index(std::string_view table_name,
+                            std::string_view column, IndexKind kind) {
+    std::unique_lock<std::mutex> guard(writer_mu_, std::defer_lock);
+    if (unit_depth_ == 0) guard.lock();
+    Table& t = require(table_name);
+    if (t.has_index(column)) return;
+    t.create_index(column, kind);
     if (unit_depth_ == 0) {
         commit_watermark_.fetch_add(1, std::memory_order_release);
         publish_version();
     }
-    return t;
 }
 
 void Database::begin_unit() {
@@ -505,16 +525,26 @@ void Database::begin_unit() {
     // unit contract).
     if (unit_depth_ == 0) writer_mu_.lock();
     try {
-        if (wal_ != nullptr) wal_->log_begin_unit();
-        for (auto& t : tables_) t->begin_unit();
+        open_unit();
     } catch (...) {
         if (unit_depth_ == 0) writer_mu_.unlock();
         throw;
     }
+}
+
+void Database::open_unit() {
+    if (wal_ != nullptr) wal_->log_begin_unit();
+    for (auto& t : tables_) t->begin_unit();
     ++unit_depth_;
 }
 
 void Database::commit_unit() {
+    bool outermost = unit_depth_ == 1;
+    close_unit();
+    if (outermost) writer_mu_.unlock();
+}
+
+void Database::close_unit() {
     if (unit_depth_ == 0)
         throw SchemaError("commit_unit without an open load unit");
     // Durability first: flush (and fsync) the commit frame before the
@@ -540,11 +570,15 @@ void Database::commit_unit() {
         // unit complete — never a partially-committed state.
         commit_watermark_.fetch_add(1, std::memory_order_release);
         publish_version();
-        writer_mu_.unlock();
     }
 }
 
 void Database::rollback_unit() {
+    abort_unit();
+    if (unit_depth_ == 0) writer_mu_.unlock();
+}
+
+void Database::abort_unit() {
     if (unit_depth_ == 0)
         throw SchemaError("rollback_unit without an open load unit");
     for (auto& t : tables_) t->rollback_unit();
@@ -553,7 +587,6 @@ void Database::rollback_unit() {
     if (wal_ != nullptr) wal_->log_rollback_unit();
     // No watermark bump and no publication: readers never observed the
     // discarded rows, so the previous epoch still describes the state.
-    if (unit_depth_ == 0) writer_mu_.unlock();
 }
 
 void Database::begin_bulk() {
@@ -571,14 +604,18 @@ void Database::drop_table(std::string_view name) {
         throw SchemaError("cannot drop '" + std::string(name) +
                           "' while a load unit is open");
     std::lock_guard<std::mutex> guard(writer_mu_);
+    remove_table(name);
+    commit_watermark_.fetch_add(1, std::memory_order_release);
+    publish_version();
+}
+
+void Database::remove_table(std::string_view name) {
     auto it = std::find_if(tables_.begin(), tables_.end(),
                            [&](const auto& t) { return t->name() == name; });
     if (it == tables_.end())
         throw SchemaError("no table '" + std::string(name) + "' to drop");
     if (wal_ != nullptr) wal_->log_drop_table(name);
     tables_.erase(it);
-    commit_watermark_.fetch_add(1, std::memory_order_release);
-    publish_version();
 }
 
 void Database::add_foreign_key(ForeignKeyDef fk) {
@@ -690,26 +727,25 @@ AnalyzeReport Database::analyze() {
     if (unit_depth_ != 0)
         throw SchemaError("cannot analyze while a load unit is open");
     AnalyzeReport report;
-    {
-        // Rebuilds mutate per-table statistics; hold the writer mutex
-        // like depth-0 DDL.  Planner threads reading through pinned
-        // epochs see those epochs' statistics copies, untouched.
-        std::lock_guard<std::mutex> guard(writer_mu_);
-        for (auto& t : tables_) {
-            if (t->name() == kStatsTable) continue;
-            t->rebuild_stats();
-            ++report.tables;
-            report.columns += t->stats().columns.size();
-            report.rows += t->stats().rows;
-        }
+    // Writer-exclusive from the statistics rebuild to the catalog commit,
+    // so the whole analyze publishes exactly one epoch.  Planner threads
+    // reading through pinned epochs see those epochs' statistics copies,
+    // untouched.
+    std::lock_guard<std::mutex> guard(writer_mu_);
+    for (auto& t : tables_) {
+        if (t->name() == kStatsTable) continue;
+        t->rebuild_stats();
+        ++report.tables;
+        report.columns += t->stats().columns.size();
+        report.rows += t->stats().rows;
     }
     report.epoch = stats_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
 
     // Persist to the catalog: drop + re-create + fill under one committed
-    // unit.  Each step takes the writer mutex itself and logs to the WAL,
-    // so a recovered database replays its way back to the same catalog
-    // rows; the commit publishes the rebuilt statistics as a new epoch.
-    if (table(kStatsTable) != nullptr) drop_table(kStatsTable);
+    // unit.  Each step logs to the WAL, so a recovered database replays
+    // its way back to the same catalog rows; the commit publishes the
+    // swapped catalog and the rebuilt statistics together.
+    if (table(kStatsTable) != nullptr) remove_table(kStatsTable);
     TableDef def;
     def.name = std::string(kStatsTable);
     def.columns = {{"tbl", ValueType::kText, true, false},
@@ -720,9 +756,9 @@ AnalyzeReport Database::analyze() {
                    {"min_v", ValueType::kText, false, false},
                    {"max_v", ValueType::kText, false, false},
                    {"epoch", ValueType::kInteger, true, false}};
-    Table& cat = create_table(std::move(def));
-    begin_unit();
+    Table& cat = add_table(std::move(def));
     try {
+        open_unit();
         for (auto& t : tables_) {
             if (t->name() == kStatsTable) continue;
             const TableStats& s = t->stats();
@@ -744,11 +780,15 @@ AnalyzeReport Database::analyze() {
                 cat.insert(std::move(row));
             }
         }
+        close_unit();
     } catch (...) {
-        rollback_unit();
+        // The (logged) catalog swap stands with an empty catalog; publish
+        // it so readers and the watermark agree with the live tables.
+        if (unit_depth_ > 0) abort_unit();
+        commit_watermark_.fetch_add(1, std::memory_order_release);
+        publish_version();
         throw;
     }
-    commit_unit();
     report.persisted = durable();
     return report;
 }

@@ -129,7 +129,7 @@ struct RecoveryReport {
 ///
 /// Built by the writer at each publication point (outermost commit,
 /// depth-0 DDL, end of recovery) from frozen table clones that share
-/// row chunks and index containers with the live tables.  Once
+/// row chunks and index nodes with the live tables.  Once
 /// published a version never changes; it is retired automatically when
 /// the last ReadSnapshot pinning it is destroyed (shared_ptr refcount
 /// is the version GC — no epoch list to sweep).
@@ -235,7 +235,10 @@ struct MvccStats {
     std::uint64_t versions_retired = 0;    ///< published and since freed
     std::uint64_t tables_republished = 0;  ///< frozen table clones cut
     std::uint64_t chunks_cowed = 0;        ///< row chunks copied on write
-    std::uint64_t indexes_cowed = 0;       ///< index containers copied on write
+    /// Index copy-on-write events: an index that copied at least one
+    /// node after a publish or savepoint shared it counts once.
+    std::uint64_t indexes_cowed = 0;
+    std::uint64_t index_nodes_cowed = 0;   ///< index tree nodes copied on write
     [[nodiscard]] std::string to_string() const;
 };
 
@@ -299,6 +302,13 @@ public:
 
     Table& create_table(TableDef def);
     void drop_table(std::string_view name);
+    /// Create a secondary index on `table`.`column` (no-op when one
+    /// exists).  At depth 0 this is DDL like drop_table(): it takes the
+    /// writer mutex, bumps the watermark and publishes, so a snapshot
+    /// taken afterwards sees the index.  Inside a unit the commit
+    /// publishes it.
+    void create_index(std::string_view table, std::string_view column,
+                      IndexKind kind = IndexKind::kHash);
 
     [[nodiscard]] Table* table(std::string_view name);
     [[nodiscard]] const Table* table(std::string_view name) const;
@@ -382,7 +392,7 @@ public:
     }
 
     /// MVCC observability: epochs published/live/retired, frozen table
-    /// clones cut, chunks and index containers copied on write.
+    /// clones cut, chunks and index nodes copied on write.
     [[nodiscard]] MvccStats mvcc_stats() const;
 
     /// Records appended to the active WAL segment (the durable LSN); 0
@@ -415,6 +425,16 @@ private:
     std::vector<std::weak_ptr<const DatabaseVersion>> version_registry_;
     std::uint64_t versions_published_ = 0;
     std::uint64_t tables_republished_ = 0;
+
+    /// Catalog changes without locking or publishing; the public DDL
+    /// wraps them, analyze() chains them under one publication.
+    Table& add_table(TableDef def);
+    void remove_table(std::string_view name);
+    /// Unit bodies; the public begin/commit/rollback add the writer mutex
+    /// at depth 0 (analyze() already holds it).
+    void open_unit();
+    void close_unit();
+    void abort_unit();
 
     /// Freeze the live tables into a new DatabaseVersion and swap it in
     /// as the current epoch.  Writer-side only, at publication points:

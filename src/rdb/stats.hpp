@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "rdb/value.hpp"
@@ -27,22 +26,28 @@ namespace xr::rdb {
 /// KMV distinct-count sketch: keep the k smallest of the 64-bit hashes
 /// seen; with fewer than k entries the count is exact, beyond that the
 /// k-th minimum estimates the hash-space density (ndv ≈ (k-1)/kth_min).
-/// O(log k) per add, O(k) memory, mergeable by re-adding — small enough
-/// to fold on every commit.
+/// The minima live in one flat sorted buffer, so copying a sketch (every
+/// frozen table version carries its statistics) is one memcpy.  O(log k)
+/// search per add (plus an O(k) shift when a new minimum enters), O(k)
+/// memory, mergeable by re-adding — small enough to fold on every commit.
 class NdvSketch {
 public:
     static constexpr std::size_t kDefaultK = 256;
 
     explicit NdvSketch(std::size_t k = kDefaultK) : k_(k) {}
 
-    void add(const Value& v);
+    void add(const Value& v) { add_hash(hash(v)); }
+    /// Add a value by its sketch hash (see hash()).
+    void add_hash(std::uint64_t h);
+    /// The well-mixed 64-bit hash the sketch keeps minima of.
+    [[nodiscard]] static std::uint64_t hash(const Value& v);
     void clear() { mins_.clear(); }
     [[nodiscard]] bool empty() const { return mins_.empty(); }
     [[nodiscard]] std::uint64_t estimate() const;
 
 private:
     std::size_t k_;
-    std::set<std::uint64_t> mins_;  ///< the k smallest hashes, distinct
+    std::vector<std::uint64_t> mins_;  ///< k smallest hashes, ascending
 };
 
 struct ColumnStats {

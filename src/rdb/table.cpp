@@ -21,11 +21,11 @@ const ColumnDef* TableDef::column(std::string_view name) const {
 
 // -- RowStore ----------------------------------------------------------------
 
-void RowStore::own(Slot& s, std::size_t keep) {
+void RowStore::own(Slot& s) {
+    auto first = static_cast<std::size_t>(&s - slots_.data()) << kChunkShift;
+    std::size_t live = std::min(kChunkRows, size_ - first);
     auto copy = std::make_shared<Chunk>();
-    copy->rows.reserve(kChunkRows);
-    copy->rows.insert(copy->rows.end(), s.chunk->rows.begin(),
-                      s.chunk->rows.begin() + static_cast<std::ptrdiff_t>(keep));
+    std::copy(s.chunk->rows.get(), s.chunk->rows.get() + live, copy->rows.get());
     s.chunk = std::move(copy);
     s.owned = true;
     ++chunks_cowed_;
@@ -33,19 +33,16 @@ void RowStore::own(Slot& s, std::size_t keep) {
 
 void RowStore::truncate(std::size_t n) {
     if (n >= size_) return;
-    if (n == 0) {
-        slots_.clear();
-        size_ = 0;
-        return;
-    }
     slots_.resize((n + kChunkRows - 1) >> kChunkShift);
-    std::size_t tail = ((n - 1) & kChunkMask) + 1;
-    Slot& s = slots_.back();
-    if (s.chunk->rows.size() != tail) {
-        if (!s.owned) own(s, tail);
-        else s.chunk->rows.resize(tail);
+    if (n < published_ && !slots_.empty() && !slots_.back().owned)
+        own(slots_.back());  // never on rollback: units publish nothing
+    if (!slots_.empty()) {
+        std::size_t end = std::min(size_, slots_.size() << kChunkShift);
+        for (std::size_t i = n; i < end; ++i)
+            slots_.back().chunk->rows[i & kChunkMask] = Row();
     }
     size_ = n;
+    published_ = std::min(published_, n);
 }
 
 RowStore RowStore::publish() {
@@ -56,6 +53,8 @@ RowStore RowStore::publish() {
         out.slots_.push_back(Slot{s.chunk, false});
     }
     out.size_ = size_;
+    out.published_ = size_;
+    published_ = size_;
     return out;
 }
 
@@ -83,15 +82,10 @@ Table::Table(FrozenTag, Table& live) : def_(live.def_) {
     frozen_ = true;
     dirty_ = false;
     store_ = live.store_.publish();
-    live.pk_owned_ = false;
-    pk_index_ = live.pk_index_;
-    pk_owned_ = false;
+    pk_ = live.pk_.share();
     indexes_.reserve(live.indexes_.size());
-    for (SecondaryIndex& idx : live.indexes_) {
-        idx.owned = false;
-        indexes_.push_back(
-            SecondaryIndex{idx.column, idx.kind, idx.hash, idx.ordered, false});
-    }
+    for (SecondaryIndex& idx : live.indexes_)
+        indexes_.push_back(SecondaryIndex{idx.column, idx.kind, idx.tree.share()});
     stats_ = live.stats_;
 }
 
@@ -102,30 +96,16 @@ std::shared_ptr<const Table> Table::publish() {
     return last_published_;
 }
 
-Table::PkIndex& Table::own_pk() {
-    if (!pk_owned_) {
-        pk_index_ = std::make_shared<PkIndex>(*pk_index_);
-        pk_owned_ = true;
-        ++index_cows_;
-    }
-    return *pk_index_;
+std::uint64_t Table::indexes_cowed() const {
+    std::uint64_t n = pk_.trees_cowed();
+    for (const SecondaryIndex& idx : indexes_) n += idx.tree.trees_cowed();
+    return n;
 }
 
-Table::HashIndexMap& Table::own_hash(SecondaryIndex& idx, bool preserve) {
-    if (!idx.owned) {
-        idx.hash = preserve ? std::make_shared<HashIndexMap>(*idx.hash)
-                            : std::make_shared<HashIndexMap>();
-        idx.ordered = preserve ? std::make_shared<OrderedIndexMap>(*idx.ordered)
-                               : std::make_shared<OrderedIndexMap>();
-        idx.owned = true;
-        ++index_cows_;
-    }
-    return *idx.hash;
-}
-
-Table::OrderedIndexMap& Table::own_ordered(SecondaryIndex& idx, bool preserve) {
-    own_hash(idx, preserve);
-    return *idx.ordered;
+std::uint64_t Table::index_nodes_cowed() const {
+    std::uint64_t n = pk_.nodes_cowed();
+    for (const SecondaryIndex& idx : indexes_) n += idx.tree.nodes_cowed();
+    return n;
 }
 
 void Table::validate(const Row& row) const {
@@ -174,7 +154,6 @@ std::size_t Table::insert_batch(std::vector<Row> rows, bool validate_rows) {
     // rows from a trusted loading plan skip the per-row cell checks.
     validate(rows.front());
     reserve_rows(rows.size());
-    if (pk_column_ >= 0) own_pk().reserve(pk_index_->size() + rows.size());
     for (auto& row : rows) do_insert(std::move(row), validate_rows);
     return rows.size();
 }
@@ -199,7 +178,7 @@ std::int64_t Table::do_insert(Row&& row, bool validate_row) {
     dirty_ = true;
     store_.push_back(std::move(row));
     if (pk_column_ >= 0) {
-        if (!own_pk().emplace(pk, id).second) {
+        if (!pk_.insert({pk, id})) {
             store_.pop_back();
             throw SchemaError("duplicate primary key " + std::to_string(pk) +
                               " in '" + def_.name + "'");
@@ -226,8 +205,15 @@ void Table::end_bulk() {
 }
 
 void Table::begin_unit() {
-    units_.push_back(
-        {store_.size(), next_pk_.load(std::memory_order_relaxed), undo_.size()});
+    UnitFrame frame;
+    frame.rows = store_.size();
+    frame.next_pk = next_pk_.load(std::memory_order_relaxed);
+    frame.undo_size = undo_.size();
+    frame.indexes_current = !bulk_ || store_.size() == bulk_from_;
+    frame.pk = pk_.share();
+    frame.indexes.reserve(indexes_.size());
+    for (SecondaryIndex& idx : indexes_) frame.indexes.push_back(idx.tree.share());
+    units_.push_back(std::move(frame));
 }
 
 void Table::commit_unit() {
@@ -244,38 +230,39 @@ void Table::rollback_unit() {
     if (units_.empty())
         throw SchemaError("rollback_unit without begin_unit on '" + def_.name +
                           "'");
-    UnitFrame frame = units_.back();
+    UnitFrame frame = std::move(units_.back());
     units_.pop_back();
     bool changed =
         store_.size() > frame.rows || undo_.size() > frame.undo_size;
 
-    // Undo cell updates newest-first with raw writes; index consistency is
-    // restored by the rebuild below.
+    // Undo row-cell updates newest-first; the index trees come back
+    // whole from the savepoint below.
     for (std::size_t i = undo_.size(); i-- > frame.undo_size;) {
         UndoCell& cell = undo_[i];
         store_.mut(cell.row)[cell.column] = std::move(cell.old_value);
     }
     undo_.resize(frame.undo_size);
-
-    // Truncate appended rows, keeping the primary-key index exact.
-    if (store_.size() > frame.rows) {
-        if (pk_column_ >= 0) {
-            PkIndex& pk = own_pk();
-            for (std::size_t id = store_.size(); id-- > frame.rows;)
-                pk.erase(store_[id][pk_column_].as_integer());
-        }
-        store_.truncate(frame.rows);
-    }
+    store_.truncate(frame.rows);
 
     // Reclaim keys reserved since the watermark.  Safe because the unit
     // contract joins all reserving workers before rollback.
     next_pk_.store(frame.next_pk, std::memory_order_relaxed);
 
-    // Leave the table out of bulk mode with consistent secondary indexes,
-    // whatever state an interrupted merge or rebuild left them in.
+    // Restore the savepoint's index trees.  The pk tree is always exact
+    // (bulk mode keeps it live).  A secondary index created inside the
+    // unit, or a savepoint taken after a bulk bracket appended unindexed
+    // rows, has no exact tree to return to and is rebuilt instead.
+    // Rollback also leaves bulk mode, whatever state an interrupted
+    // merge or rebuild left behind.
+    pk_.restore(std::move(frame.pk));
     bool was_bulk = bulk_;
     bulk_ = false;
-    if (changed || was_bulk) rebuild_indexes();
+    for (std::size_t k = 0; k < indexes_.size(); ++k) {
+        if (k < frame.indexes.size() && frame.indexes_current)
+            indexes_[k].tree.restore(std::move(frame.indexes[k]));
+        else if (changed || was_bulk)
+            rebuild_index(indexes_[k]);
+    }
     if (changed || was_bulk) dirty_ = true;
 
     // Rows the statistics already covered may be gone (or their cells
@@ -283,21 +270,24 @@ void Table::rollback_unit() {
     if (changed && stats_.rows > store_.size()) stats_.stale = true;
 }
 
+void Table::rebuild_index(SecondaryIndex& idx) {
+    std::vector<IndexEntry> entries;
+    entries.reserve(store_.size());
+    for (RowId id = 0; id < store_.size(); ++id)
+        entries.push_back({store_[id][idx.column], id});
+    // Row ids ascend, so a stable sort on the value alone yields
+    // (value, row id) order; already-sorted columns (parent_pk, pre)
+    // skip the sort.
+    auto by_value = [](const IndexEntry& a, const IndexEntry& b) {
+        return a.key.index_order(b.key) < 0;
+    };
+    if (!std::is_sorted(entries.begin(), entries.end(), by_value))
+        std::stable_sort(entries.begin(), entries.end(), by_value);
+    idx.tree.assign_sorted(std::move(entries));
+}
+
 void Table::rebuild_indexes() {
-    for (auto& idx : indexes_) {
-        // About to repopulate from scratch: a shared container is simply
-        // replaced with a fresh empty one instead of deep-copied first.
-        HashIndexMap& hash = own_hash(idx, /*preserve=*/false);
-        OrderedIndexMap& ordered = *idx.ordered;
-        hash.clear();
-        ordered.clear();
-        if (idx.kind == IndexKind::kHash) hash.reserve(store_.size());
-        for (RowId id = 0; id < store_.size(); ++id) {
-            const Value& v = store_[id][idx.column];
-            if (idx.kind == IndexKind::kHash) hash.emplace(v, id);
-            else ordered.emplace(v, id);
-        }
-    }
+    for (SecondaryIndex& idx : indexes_) rebuild_index(idx);
     if (!indexes_.empty()) dirty_ = true;
 }
 
@@ -320,9 +310,9 @@ std::optional<RowId> Table::find_pk_rowid(std::int64_t pk) const {
             return static_cast<RowId>(pk);
         return std::nullopt;
     }
-    auto it = pk_index_->find(pk);
-    if (it == pk_index_->end()) return std::nullopt;
-    return it->second;
+    const PkEntry* e = pk_.find(pk);
+    if (e == nullptr) return std::nullopt;
+    return e->row;
 }
 
 void Table::update(RowId id, std::string_view column, Value value) {
@@ -334,30 +324,10 @@ void Table::update(RowId id, std::string_view column, Value value) {
         throw SchemaError("cannot update primary key column");
     if (!units_.empty()) undo_.push_back({id, i, store_[id][i]});
     dirty_ = true;
-    for (auto& idx : indexes_) {
+    for (SecondaryIndex& idx : indexes_) {
         if (idx.column != i) continue;
-        const Value& old = store_[id][i];
-        if (idx.kind == IndexKind::kHash) {
-            HashIndexMap& hash = own_hash(idx, /*preserve=*/true);
-            auto range = hash.equal_range(old);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == id) {
-                    hash.erase(it);
-                    break;
-                }
-            }
-            hash.emplace(value, id);
-        } else {
-            OrderedIndexMap& ordered = own_ordered(idx, /*preserve=*/true);
-            auto range = ordered.equal_range(old);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == id) {
-                    ordered.erase(it);
-                    break;
-                }
-            }
-            ordered.emplace(value, id);
-        }
+        idx.tree.erase({store_[id][i], id});
+        idx.tree.insert({value, id});
     }
     store_.mut(id)[i] = std::move(value);
     if (log_ != nullptr) log_->log_update(*this, id, i, store_[id][i]);
@@ -383,16 +353,13 @@ std::size_t Table::delete_where(std::string_view column, const Value& value) {
     dirty_ = true;
 
     // Row ids shifted: rebuild the pk index and every secondary index.
-    if (!pk_owned_) {
-        pk_index_ = std::make_shared<PkIndex>();
-        pk_owned_ = true;
-        ++index_cows_;
-    } else {
-        pk_index_->clear();
-    }
     if (pk_column_ >= 0) {
+        std::vector<PkEntry> keys;
+        keys.reserve(store_.size());
         for (RowId id = 0; id < store_.size(); ++id)
-            pk_index_->emplace(store_[id][pk_column_].as_integer(), id);
+            keys.push_back({store_[id][pk_column_].as_integer(), id});
+        std::sort(keys.begin(), keys.end(), PkLess{});
+        pk_.assign_sorted(std::move(keys));
     }
     rebuild_indexes();
     stats_.stale = true;  // compaction: folded rows may be gone
@@ -450,12 +417,7 @@ void Table::create_index(std::string_view column, IndexKind kind) {
     SecondaryIndex idx;
     idx.column = i;
     idx.kind = kind;
-    idx.hash = std::make_shared<HashIndexMap>();
-    idx.ordered = std::make_shared<OrderedIndexMap>();
-    for (RowId id = 0; id < store_.size(); ++id) {
-        if (kind == IndexKind::kHash) idx.hash->emplace(store_[id][i], id);
-        else idx.ordered->emplace(store_[id][i], id);
-    }
+    rebuild_index(idx);
     indexes_.push_back(std::move(idx));
     dirty_ = true;
     if (log_ != nullptr) log_->log_create_index(*this, column, kind);
@@ -471,19 +433,13 @@ bool Table::has_index(std::string_view column) const {
 std::vector<RowId> Table::index_lookup(std::string_view column,
                                        const Value& value) const {
     int i = def_.column_index(column);
-    for (const auto& idx : indexes_) {
+    for (const SecondaryIndex& idx : indexes_) {
         if (idx.column != i) continue;
+        // Entries of one value enumerate in row-id order.
         std::vector<RowId> out;
-        if (idx.kind == IndexKind::kHash) {
-            auto range = idx.hash->equal_range(value);
-            for (auto it = range.first; it != range.second; ++it)
-                out.push_back(it->second);
-        } else {
-            auto range = idx.ordered->equal_range(value);
-            for (auto it = range.first; it != range.second; ++it)
-                out.push_back(it->second);
-        }
-        std::sort(out.begin(), out.end());
+        for (auto c = idx.tree.lower_bound(IndexProbe{&value, 0});
+             !c.done() && c->key == value; c.next())
+            out.push_back(c->row);
         return out;
     }
     throw SchemaError("no index on '" + def_.name + "." + std::string(column) +
@@ -504,21 +460,21 @@ std::vector<RowId> Table::index_range_lookup(std::string_view column,
     int i = def_.column_index(column);
     for (const auto& idx : indexes_) {
         if (idx.column != i || idx.kind != IndexKind::kOrdered) continue;
-        const OrderedIndexMap& ordered = *idx.ordered;
-        // NULL keys sort first in the ordered index but compare unknown in
-        // SQL, so an unbounded lower end still starts past them.
-        auto it = lo == nullptr
-                      ? ordered.upper_bound(Value::null())
-                      : (lo_strict ? ordered.upper_bound(*lo)
-                                   : ordered.lower_bound(*lo));
+        // NULL keys sort first in the tree but compare unknown in SQL,
+        // so an unbounded lower end still starts past them.  Probing with
+        // the largest row id lands past every entry of the bound's value.
+        const Value null;
+        const Value& from = lo == nullptr ? null : *lo;
+        RowId from_row = lo == nullptr || lo_strict ? ~RowId{0} : 0;
         std::vector<RowId> out;
-        for (; it != ordered.end(); ++it) {
-            if (it->first.is_null()) continue;
+        for (auto c = idx.tree.lower_bound(IndexProbe{&from, from_row});
+             !c.done(); c.next()) {
+            if (c->key.is_null()) continue;
             if (hi != nullptr) {
-                auto ord = it->first.index_order(*hi);
+                auto ord = c->key.index_order(*hi);
                 if (hi_strict ? ord >= 0 : ord > 0) break;
             }
-            out.push_back(it->second);
+            out.push_back(c->row);
         }
         std::sort(out.begin(), out.end());
         return out;
@@ -542,14 +498,8 @@ std::vector<RowId> Table::lookup(std::string_view column,
 }
 
 void Table::index_row(RowId id) {
-    for (auto& idx : indexes_) {
-        const Value& v = store_[id][idx.column];
-        if (idx.kind == IndexKind::kHash) {
-            own_hash(idx, /*preserve=*/true).emplace(v, id);
-        } else {
-            own_ordered(idx, /*preserve=*/true).emplace(v, id);
-        }
-    }
+    for (SecondaryIndex& idx : indexes_)
+        idx.tree.insert({store_[id][idx.column], id});
 }
 
 void Table::verify_into(IntegrityReport& report) const {
@@ -612,17 +562,17 @@ void Table::verify_into(IntegrityReport& report) const {
 
     // Primary-key index: exactly one entry per row, pointing back at it.
     if (pk_column_ >= 0) {
-        if (pk_index_->size() != store_.size())
+        if (pk_.size() != store_.size())
             issue("pk-index", -1,
-                  "pk index has " + std::to_string(pk_index_->size()) +
+                  "pk index has " + std::to_string(pk_.size()) +
                       " entries for " + std::to_string(store_.size()) + " rows");
         for (RowId id = 0; id < store_.size(); ++id) {
             const Row& row = store_[id];
             if (row.size() != def_.columns.size() ||
                 row[pk_column_].type() != ValueType::kInteger)
                 continue;  // already reported above
-            auto it = pk_index_->find(row[pk_column_].as_integer());
-            if (it == pk_index_->end() || it->second != id)
+            const PkEntry* e = pk_.find(row[pk_column_].as_integer());
+            if (e == nullptr || e->row != id)
                 issue("pk-index", doc_of(row),
                       "row " + std::to_string(id) + " pk " +
                           row[pk_column_].to_string() +
@@ -637,7 +587,7 @@ void Table::verify_into(IntegrityReport& report) const {
     }
 
     // Secondary indexes: every entry resolves to a live row whose cell
-    // matches the key, counts agree, and ordered indexes are sorted.
+    // matches the key, counts agree, and the tree enumerates in order.
     if (bulk_) {
         issue("index-deferred", -1,
               "bulk mode: secondary index checks skipped",
@@ -647,9 +597,7 @@ void Table::verify_into(IntegrityReport& report) const {
     for (const SecondaryIndex& idx : indexes_) {
         ++report.indexes_checked;
         const std::string& col = def_.columns[idx.column].name;
-        std::size_t entries = idx.kind == IndexKind::kHash
-                                  ? idx.hash->size()
-                                  : idx.ordered->size();
+        std::size_t entries = idx.tree.size();
         if (entries != store_.size())
             issue("index-size", -1,
                   "index on '" + col + "' has " + std::to_string(entries) +
@@ -669,18 +617,14 @@ void Table::verify_into(IntegrityReport& report) const {
                           " to row " + std::to_string(id) +
                           " whose cell is " + row[idx.column].to_string());
         };
-        if (idx.kind == IndexKind::kHash) {
-            for (const auto& [key, id] : *idx.hash) check_entry(key, id);
-        } else {
-            const Value* prev = nullptr;
-            for (const auto& [key, id] : *idx.ordered) {
-                check_entry(key, id);
-                if (prev != nullptr && key < *prev)
-                    issue("index-order", -1,
-                          "ordered index on '" + col +
-                              "' is out of order at key " + key.to_string());
-                prev = &key;
-            }
+        const Value* prev = nullptr;
+        for (auto c = idx.tree.begin(); !c.done(); c.next()) {
+            check_entry(c->key, c->row);
+            if (prev != nullptr && c->key < *prev)
+                issue("index-order", -1,
+                      "index on '" + col + "' is out of order at key " +
+                          c->key.to_string());
+            prev = &c->key;
         }
     }
 }
@@ -694,10 +638,8 @@ std::size_t Table::memory_bytes() const {
             if (v.type() == ValueType::kText) bytes += v.as_text().capacity();
         }
     }
-    bytes += pk_index_->size() * (sizeof(std::int64_t) + sizeof(RowId) + 16);
-    for (const auto& idx : indexes_)
-        bytes += (idx.hash->size() + idx.ordered->size()) *
-                 (sizeof(Value) + sizeof(RowId) + 16);
+    bytes += pk_.memory_bytes();
+    for (const SecondaryIndex& idx : indexes_) bytes += idx.tree.memory_bytes();
     return bytes;
 }
 

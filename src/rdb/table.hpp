@@ -2,29 +2,33 @@
 //
 // Row-oriented storage in copy-on-write chunks (DESIGN.md §15).  Each
 // table may declare one auto-increment INTEGER primary key; inserts
-// validate types, NOT NULL and primary-key uniqueness.  Secondary
-// indexes come in two flavours — hash (equality lookups, used for ID
-// resolution during loading) and ordered (range scans) — mirroring the
-// ablation called out in DESIGN.md.
+// validate types, NOT NULL and primary-key uniqueness.  Every index —
+// the primary key and each secondary index — is one persistent B+Tree
+// (rdb/btree.hpp).  A secondary index keys on (value, row id) and serves
+// both declared roles: kHash (equality lookups, used for ID resolution
+// during loading) and kOrdered (range scans as well).  The declared
+// role only decides which access paths the planner may choose.
 //
 // MVCC read path: publish() snapshots the table into an immutable
-// frozen clone that structurally shares row chunks and index
-// containers with the live table.  The single writer then copies a
-// chunk (or an index) the first time it mutates one that a published
-// version still references, so readers of any pinned version never see
-// a concurrent mutation and never take a latch.
+// frozen clone that shares row chunks and index nodes with the live
+// table.  The single writer copies a chunk the first time it mutates
+// one that a published version still references, and copies the nodes
+// on an index path the same way, so a commit costs O(change) and
+// readers of any pinned version never see a concurrent mutation and
+// never take a latch.  A load unit's savepoint shares the index trees
+// the same way; rolling the unit back restores them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "rdb/btree.hpp"
 #include "rdb/stats.hpp"
 #include "rdb/value.hpp"
 
@@ -50,6 +54,49 @@ using RowId = std::uint32_t;
 
 enum class IndexKind { kHash, kOrdered };
 
+/// Primary-key index entry: key → row id, unique by key.
+struct PkEntry {
+    std::int64_t key = 0;
+    RowId row = 0;
+};
+struct PkLess {
+    bool operator()(const PkEntry& a, const PkEntry& b) const {
+        return a.key < b.key;
+    }
+    bool operator()(const PkEntry& a, std::int64_t b) const { return a.key < b; }
+    bool operator()(std::int64_t a, const PkEntry& b) const { return a < b.key; }
+};
+using PkTree = BTree<PkEntry, PkLess>;
+
+/// Secondary-index entry: (cell value, row id), ordered by
+/// Value::index_order and then row id, so the rows of one value
+/// enumerate in ascending row order.
+struct IndexEntry {
+    Value key;
+    RowId row = 0;
+};
+/// Search key for IndexLess without copying the value.
+struct IndexProbe {
+    const Value* key;
+    RowId row;
+};
+struct IndexLess {
+    static bool less(const Value& a, RowId ar, const Value& b, RowId br) {
+        auto ord = a.index_order(b);
+        return ord < 0 || (ord == 0 && ar < br);
+    }
+    bool operator()(const IndexEntry& a, const IndexEntry& b) const {
+        return less(a.key, a.row, b.key, b.row);
+    }
+    bool operator()(const IndexEntry& a, const IndexProbe& b) const {
+        return less(a.key, a.row, *b.key, b.row);
+    }
+    bool operator()(const IndexProbe& a, const IndexEntry& b) const {
+        return less(*a.key, a.row, b.key, b.row);
+    }
+};
+using IndexTree = BTree<IndexEntry, IndexLess>;
+
 class Table;
 struct IntegrityReport;
 
@@ -74,14 +121,17 @@ public:
 
 /// Chunked row storage with per-chunk copy-on-write (DESIGN.md §15).
 ///
-/// Rows live in fixed-size chunks behind shared_ptrs.  publish() marks
-/// every chunk shared and returns a structurally sharing copy for a
-/// frozen table version — O(#chunks), no row copies.  The single writer
-/// clones a chunk the first time it mutates one that is marked shared
-/// (`owned == false`), so a published chunk is immutable for its whole
-/// lifetime and concurrent readers of pinned versions are race-free by
-/// construction.  Ownership flags are writer-private state: no refcount
-/// inspection, no atomics, deterministic under TSan.
+/// Rows live in fixed-size chunks of preallocated slots behind
+/// shared_ptrs.  publish() marks every chunk shared, records how many
+/// rows it published, and returns a structurally sharing copy for a
+/// frozen version — O(#chunks), no row copies.  A frozen version reads
+/// only the slots below its own size, so the writer may keep filling
+/// (and, on rollback, clearing) the unpublished slots of a shared chunk
+/// in place; it clones a chunk only to change a published row.  A
+/// published row is therefore immutable for its whole lifetime and
+/// concurrent readers of pinned versions are race-free by construction.
+/// Ownership flags are writer-private state: no refcount inspection, no
+/// atomics, deterministic under TSan.
 class RowStore {
 public:
     static constexpr std::size_t kChunkShift = 10;
@@ -94,30 +144,28 @@ public:
         return slots_[i >> kChunkShift].chunk->rows[i & kChunkMask];
     }
     /// Mutable access for the writer; copies the containing chunk first
-    /// when a published version still shares it.
+    /// when the row is published and a published version shares it.
     [[nodiscard]] Row& mut(std::size_t i) {
         Slot& s = slots_[i >> kChunkShift];
-        if (!s.owned) own(s, s.chunk->rows.size());
+        if (!s.owned && i < published_) own(s);
         return s.chunk->rows[i & kChunkMask];
     }
 
     void push_back(Row&& row) {
-        if ((size_ & kChunkMask) == 0) {
+        if ((size_ & kChunkMask) == 0)
             slots_.push_back(Slot{std::make_shared<Chunk>(), true});
-            slots_.back().chunk->rows.reserve(kChunkRows);
-        }
-        Slot& s = slots_.back();
-        if (!s.owned) own(s, s.chunk->rows.size());
-        s.chunk->rows.push_back(std::move(row));
+        // Slot size_ is unpublished, so no reader looks at it.
+        slots_.back().chunk->rows[size_ & kChunkMask] = std::move(row);
         ++size_;
     }
     void pop_back() { truncate(size_ - 1); }
     /// Truncate to `n` rows (unit rollback); whole chunks past the cut
-    /// are dropped, a shared tail chunk is cloned up to the cut.
+    /// are dropped and the freed slots of the new tail chunk cleared.
     void truncate(std::size_t n);
     void clear() {
         slots_.clear();
         size_ = 0;
+        published_ = 0;
     }
     void reserve(std::size_t additional) {
         slots_.reserve((size_ + additional + kChunkRows - 1) >> kChunkShift);
@@ -132,18 +180,19 @@ public:
 
 private:
     struct Chunk {
-        std::vector<Row> rows;
+        std::unique_ptr<Row[]> rows{new Row[kChunkRows]};
     };
     struct Slot {
         std::shared_ptr<Chunk> chunk;
         bool owned = true;  ///< writer-private: no published version shares it
     };
 
-    /// Replace a shared chunk with a private copy of its first `keep` rows.
-    void own(Slot& s, std::size_t keep);
+    /// Replace a shared chunk with a private copy of its live rows.
+    void own(Slot& s);
 
     std::vector<Slot> slots_;
     std::size_t size_ = 0;
+    std::size_t published_ = 0;  ///< rows the latest publish() exposed
     std::uint64_t chunks_cowed_ = 0;
 };
 
@@ -197,21 +246,26 @@ public:
 
     // -- bulk (deferred-index) mode ------------------------------------------
     /// Between begin_bulk() and end_bulk(), inserts skip secondary-index
-    /// maintenance; end_bulk() rebuilds every index in one pass.  The
-    /// primary-key index stays live so duplicate keys are still rejected.
-    /// end_bulk() keeps the bulk flag set until the rebuild succeeds, so
-    /// an interrupted rebuild is recoverable via rollback_unit().
-    void begin_bulk() { bulk_ = true; }
+    /// maintenance; end_bulk() rebuilds every index bottom-up from a
+    /// sorted run.  The primary-key index stays live so duplicate keys
+    /// are still rejected.  end_bulk() keeps the bulk flag set until the
+    /// rebuild succeeds, so an interrupted rebuild is recoverable via
+    /// rollback_unit().
+    void begin_bulk() {
+        if (!bulk_) bulk_from_ = store_.size();
+        bulk_ = true;
+    }
     void end_bulk();
     [[nodiscard]] bool in_bulk() const { return bulk_; }
 
     // -- atomic load units (savepoint / undo) --------------------------------
-    /// begin_unit() records a watermark — row count, pk counter, undo-log
-    /// position; rollback_unit() truncates back to it: cell updates made
-    /// since are undone (update() logs old values while a unit is open),
-    /// appended rows are removed from storage and every index, and the
-    /// pk counter is restored.  Units nest (a per-document unit inside a
-    /// per-corpus unit); commit_unit() folds the frame into its parent.
+    /// begin_unit() records a savepoint — row count, pk counter, undo-log
+    /// position and a shared copy of every index tree; rollback_unit()
+    /// returns to it: cell updates made since are undone (update() logs
+    /// old row cells while a unit is open), appended rows are truncated,
+    /// the index trees are restored, and the pk counter is reset.  Units
+    /// nest (a per-document unit inside a per-corpus unit); commit_unit()
+    /// folds the frame into its parent.
     ///
     /// Thread-safety contract: begin/commit/rollback and any logged
     /// mutation are single-threaded operations.  Concurrent workers may
@@ -223,7 +277,8 @@ public:
     void rollback_unit();
     [[nodiscard]] bool in_unit() const { return !units_.empty(); }
 
-    /// Drop and repopulate every secondary index from current row storage.
+    /// Rebuild every secondary index from current row storage, bottom-up
+    /// from a sorted run.
     void rebuild_indexes();
 
     [[nodiscard]] const Row& row(RowId id) const { return store_[id]; }
@@ -296,10 +351,10 @@ public:
 
     // -- MVCC versioning (DESIGN.md §15) --------------------------------------
     /// Snapshot this table into an immutable frozen clone sharing row
-    /// chunks and index containers (O(#chunks + #indexes), no data
-    /// copies).  While the table is unchanged since the last publish the
-    /// cached clone is returned, so an idle table costs one shared_ptr
-    /// copy per database publication.  Writer-side only (the caller
+    /// chunks and index trees (O(#chunks + #indexes), no data copies).
+    /// While the table is unchanged since the last publish the cached
+    /// clone is returned, so an idle table costs one shared_ptr copy per
+    /// database publication.  Writer-side only (the caller
     /// holds writer exclusivity); subsequent writer mutations trigger
     /// copy-on-write and never disturb the clone.
     [[nodiscard]] std::shared_ptr<const Table> publish();
@@ -308,8 +363,12 @@ public:
     /// publication must cut a fresh frozen clone.
     [[nodiscard]] bool version_dirty() const { return dirty_; }
 
-    /// Index structures cloned by copy-on-write since construction.
-    [[nodiscard]] std::uint64_t indexes_cowed() const { return index_cows_; }
+    /// Index copy-on-write events since construction: each time an index
+    /// copied at least one node after a publish or savepoint shared it.
+    [[nodiscard]] std::uint64_t indexes_cowed() const;
+    /// Index nodes copied because a published version or savepoint
+    /// still shared them.
+    [[nodiscard]] std::uint64_t index_nodes_cowed() const;
     /// Row chunks cloned by copy-on-write since construction.
     [[nodiscard]] std::uint64_t chunks_cowed() const {
         return store_.chunks_cowed();
@@ -339,7 +398,7 @@ public:
     /// cell types against the schema, NOT NULL, pk uniqueness and
     /// pk-index agreement, pk-counter monotonicity, and for every
     /// secondary index entry-count, key↔row agreement, in-range row ids
-    /// and (ordered indexes) sortedness.  Read-only; index checks are
+    /// and sortedness.  Read-only; index checks are
     /// skipped (with a warning) while bulk mode has them deferred.
     void verify_into(IntegrityReport& report) const;
 
@@ -350,20 +409,14 @@ public:
     [[nodiscard]] double null_fraction() const;
 
 private:
-    using PkIndex = std::unordered_map<std::int64_t, RowId>;
-    using HashIndexMap = std::unordered_multimap<Value, RowId, ValueHash>;
-    using OrderedIndexMap = std::multimap<Value, RowId>;
-
     struct SecondaryIndex {
         int column = -1;
         IndexKind kind = IndexKind::kHash;
-        std::shared_ptr<HashIndexMap> hash;
-        std::shared_ptr<OrderedIndexMap> ordered;
-        bool owned = true;  ///< writer-private, like RowStore::Slot::owned
+        IndexTree tree;
     };
 
     /// Frozen-clone constructor backing publish(): shares chunks and
-    /// index containers, snapshots scalar state, drops the mutation log.
+    /// index trees, snapshots scalar state, drops the mutation log.
     struct FrozenTag {};
     Table(FrozenTag, Table& live);
 
@@ -372,12 +425,11 @@ private:
     std::atomic<std::int64_t> next_pk_{1};
     MutationLog* log_ = nullptr;
     bool bulk_ = false;
+    std::size_t bulk_from_ = 0;  ///< rows indexed when bulk mode began
     bool frozen_ = false;  ///< immutable published clone (never mutated)
     bool dirty_ = true;    ///< mutated since last publish()
-    bool pk_owned_ = true;
-    std::uint64_t index_cows_ = 0;
     RowStore store_;
-    std::shared_ptr<PkIndex> pk_index_ = std::make_shared<PkIndex>();
+    PkTree pk_;
     std::vector<SecondaryIndex> indexes_;
     std::shared_ptr<const Table> last_published_;  ///< reused while !dirty_
 
@@ -386,6 +438,11 @@ private:
         std::size_t rows = 0;
         std::int64_t next_pk = 0;
         std::size_t undo_size = 0;
+        /// The secondary trees covered every row (false inside a bulk
+        /// bracket that had already appended unindexed rows).
+        bool indexes_current = true;
+        PkTree pk;
+        std::vector<IndexTree> indexes;  ///< parallel to indexes_ at begin
     };
     std::vector<UnitFrame> units_;
     struct UndoCell {
@@ -396,15 +453,9 @@ private:
     std::vector<UndoCell> undo_;  ///< update() log, shared by nested frames
     TableStats stats_;
 
-    /// Writer-side copy-on-write helpers: hand back a privately owned
-    /// container, cloning (or, for rebuilds, replacing with a fresh empty
-    /// one) when a published version still shares the current one.
-    PkIndex& own_pk();
-    HashIndexMap& own_hash(SecondaryIndex& idx, bool preserve);
-    OrderedIndexMap& own_ordered(SecondaryIndex& idx, bool preserve);
-
     void validate(const Row& row) const;
     void index_row(RowId id);
+    void rebuild_index(SecondaryIndex& idx);
     std::int64_t do_insert(Row&& row, bool validate_row);
     void bump_next_pk(std::int64_t pk);
 };

@@ -70,7 +70,7 @@ std::optional<std::strong_ordering> Value::compare(const Value& other) const {
     return static_cast<int>(type()) <=> static_cast<int>(other.type());
 }
 
-std::strong_ordering Value::index_order(const Value& other) const {
+std::strong_ordering Value::mixed_order(const Value& other) const {
     bool an = is_null(), bn = other.is_null();
     if (an || bn) {
         if (an && bn) return std::strong_ordering::equal;

@@ -53,8 +53,24 @@ public:
         const Value& other) const;
 
     /// Total order for indexes and ORDER BY: NULL sorts first, then by
-    /// type, then by value (numeric types compare numerically).
-    [[nodiscard]] std::strong_ordering index_order(const Value& other) const;
+    /// type, then by value (numeric types compare numerically).  Inline
+    /// for the same-type cases index searches hit; numbers compare as
+    /// doubles either way.
+    [[nodiscard]] std::strong_ordering index_order(const Value& other) const {
+        if (data_.index() == other.data_.index()) {
+            if (const auto* a = std::get_if<std::int64_t>(&data_)) {
+                const auto* b = std::get_if<std::int64_t>(&other.data_);
+                auto da = static_cast<double>(*a);
+                auto db = static_cast<double>(*b);
+                return da < db ? std::strong_ordering::less
+                               : (db < da ? std::strong_ordering::greater
+                                          : std::strong_ordering::equal);
+            }
+            if (const auto* a = std::get_if<std::string>(&data_))
+                return *a <=> *std::get_if<std::string>(&other.data_);
+        }
+        return mixed_order(other);
+    }
 
     friend bool operator==(const Value& a, const Value& b) {
         return a.index_order(b) == std::strong_ordering::equal;
@@ -66,6 +82,9 @@ public:
     [[nodiscard]] std::size_t hash() const;
 
 private:
+    /// index_order() for NULLs, reals and mixed types.
+    [[nodiscard]] std::strong_ordering mixed_order(const Value& other) const;
+
     std::variant<std::monostate, std::int64_t, double, std::string> data_;
 };
 

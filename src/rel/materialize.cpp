@@ -83,7 +83,7 @@ void materialize(const RelationalSchema& schema,
                  const mapping::MappingResult& mapping, rdb::Database& db,
                  const MaterializeOptions& options) {
     for (const auto& t : schema.tables()) {
-        rdb::Table& table = db.create_table(t.to_table_def());
+        db.create_table(t.to_table_def());
         for (const auto& c : t.columns) {
             if (c.role == ColumnRole::kForeignKey && !c.references.empty())
                 db.add_foreign_key({t.name, c.name, c.references, "pk"});
@@ -91,32 +91,32 @@ void materialize(const RelationalSchema& schema,
         if (!options.create_indexes) continue;
         switch (t.kind) {
             case TableKind::kNestedRel:
-                table.create_index("parent_pk", options.index_kind);
-                table.create_index("child_pk", options.index_kind);
+                db.create_index(t.name, "parent_pk", options.index_kind);
+                db.create_index(t.name, "child_pk", options.index_kind);
                 break;
             case TableKind::kGroupRel:
-                table.create_index("parent_pk", options.index_kind);
+                db.create_index(t.name, "parent_pk", options.index_kind);
                 break;
             case TableKind::kGroupMemberLink:
-                table.create_index("group_pk", options.index_kind);
-                table.create_index("member_pk", options.index_kind);
+                db.create_index(t.name, "group_pk", options.index_kind);
+                db.create_index(t.name, "member_pk", options.index_kind);
                 break;
             case TableKind::kReferenceRel:
-                table.create_index("source_pk", options.index_kind);
-                table.create_index("idref", options.index_kind);
+                db.create_index(t.name, "source_pk", options.index_kind);
+                db.create_index(t.name, "idref", options.index_kind);
                 break;
             case TableKind::kIdRegistry:
-                table.create_index("idval", options.index_kind);
+                db.create_index(t.name, "idval", options.index_kind);
                 break;
             case TableKind::kTextSegments:
             case TableKind::kOverflow:
-                table.create_index("parent_pk", options.index_kind);
+                db.create_index(t.name, "parent_pk", options.index_kind);
                 break;
             case TableKind::kEntity:
                 // Structural index: interval containment joins binary-search
                 // this sorted-by-pre index instead of scanning (DESIGN.md §10).
                 if (t.column("pre") != nullptr)
-                    table.create_index("pre", rdb::IndexKind::kOrdered);
+                    db.create_index(t.name, "pre", rdb::IndexKind::kOrdered);
                 break;
             case TableKind::kMetadata:
                 break;

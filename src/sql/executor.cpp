@@ -1071,10 +1071,9 @@ ResultSet execute(rdb::Database& db, std::string_view sql, ExecStats* stats,
             return {};
         }
         case Statement::Kind::kCreateIndex: {
-            Table* t = db.table(stmt.create_index.table);
-            if (t == nullptr)
+            if (db.table(stmt.create_index.table) == nullptr)
                 throw QueryError("unknown table '" + stmt.create_index.table + "'");
-            t->create_index(stmt.create_index.column);
+            db.create_index(stmt.create_index.table, stmt.create_index.column);
             return {};
         }
     }

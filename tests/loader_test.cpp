@@ -298,6 +298,50 @@ TEST(Loader, ReloadAfterUnload) {
     EXPECT_TRUE(stack.db.check_foreign_keys().empty());
 }
 
+// Per-document resolution scans only rows appended since the last pass
+// that committed; a fresh Loader's full pass over the same database must
+// then find nothing left to resolve and count the same unresolved rows —
+// across unloads (compaction), rolled-back outer units and loads with
+// resolution off.
+TEST(Loader, IncrementalResolutionMatchesFullPass) {
+    Stack stack(gen::paper_dtd());
+    auto corpus = gen::bibliography_corpus(8, 80, 17);
+    auto dangling = xml::parse_document(
+        "<article><title>t</title>"
+        "<author id=\"a1\"><name><lastname>s</lastname></name></author>"
+        "<contactauthor authorid=\"nobody\"/></article>");
+    loader::LoadOptions unvalidated;
+    unvalidated.validate = false;
+    auto check = [&](const char* step) {
+        loader::Loader fresh(stack.logical, stack.mapping, stack.schema,
+                             stack.db);
+        fresh.resolve_references();
+        EXPECT_EQ(fresh.stats().resolved_references, 0u) << step;
+        EXPECT_EQ(fresh.stats().unresolved_references,
+                  stack.loader->stats().unresolved_references)
+            << step;
+    };
+    std::vector<std::int64_t> ids;
+    ids.push_back(stack.loader->load(*corpus[0]));
+    ids.push_back(stack.loader->load(*dangling, unvalidated));
+    ids.push_back(stack.loader->load(*corpus[1]));
+    check("after loads");
+    stack.loader->unload(ids[0]);
+    ids.push_back(stack.loader->load(*corpus[2]));
+    check("after unload and reload");
+    stack.db.begin_unit();
+    stack.loader->load(*corpus[3]);
+    stack.db.rollback_unit();
+    ids.push_back(stack.loader->load(*corpus[4]));
+    check("after a rolled-back outer unit");
+    loader::LoadOptions deferred;
+    deferred.resolve_references = false;
+    stack.loader->load(*corpus[5], deferred);
+    ids.push_back(stack.loader->load(*dangling, unvalidated));
+    check("after a deferred load");
+    EXPECT_EQ(stack.loader->stats().unresolved_references, 2u);
+}
+
 TEST(Loader, StatsAccumulate) {
     Stack stack(gen::paper_dtd());
     auto corpus = gen::bibliography_corpus(5, 100, 9);

@@ -135,9 +135,9 @@ void reader_loop(const rdb::Database& db, int iters,
 
 /// The seeded writer script: a mix of committed load units, rolled-back
 /// units, depth-0 DDL, unit-wrapped SQL writes, analyze() and (when the
-/// database is durable) checkpoints.  Commits and DDL publish epochs
-/// and record oracle entries; rollbacks, checkpoints and analyze must
-/// not change what any epoch contains.
+/// database is durable) checkpoints.  Commits, DDL and analyze publish
+/// epochs and record oracle entries; rollbacks and checkpoints must not
+/// change what any epoch contains.
 template <typename AnyStack>
 void writer_script(AnyStack& stack, Oracle& oracle, std::uint64_t seed,
                    int ops) {
@@ -184,9 +184,15 @@ void writer_script(AnyStack& stack, Oracle& oracle, std::uint64_t seed,
                     break;
                 }
                 [[fallthrough]];
-            case 4:
-                (void)db.analyze();  // stats epoch, not a content epoch
+            case 4: {
+                // Rebuilds statistics and swaps the xrel_stats catalog:
+                // exactly one published content epoch.
+                std::uint64_t before = db.commit_watermark();
+                (void)db.analyze();
+                EXPECT_EQ(db.commit_watermark(), before + 1);
+                oracle.record(db);
                 break;
+            }
             default: {  // the common op: one committed document load
                 stack.loader->load(*corpus[static_cast<std::size_t>(i)]);
                 oracle.record(db);
@@ -223,12 +229,51 @@ TEST(Mvcc, SnapshotIsolationOracle) {
     EXPECT_GT(oracle.epochs(), 10u) << "writer script committed too little";
     for (const auto& reader : seen) EXPECT_EQ(reader.size(), kReadsEach);
 
-    // The script's rollbacks and loads force real copy-on-write: the
-    // observability counters must show epochs were cut and retired.
+    // The script's loads force real copy-on-write of shared index nodes:
+    // the observability counters must show epochs were cut and nodes
+    // copied.  (Appends fill unpublished chunk slots in place; chunk
+    // copies are covered by PublishedRowUpdateCopiesChunk.)
     rdb::MvccStats st = stack.db.mvcc_stats();
     EXPECT_GE(st.versions_published, oracle.epochs() - 1);
     EXPECT_GT(st.tables_republished, 0u);
-    EXPECT_GT(st.chunks_cowed, 0u);
+    EXPECT_GT(st.indexes_cowed, 0u);
+    EXPECT_GE(st.index_nodes_cowed, st.indexes_cowed);
+}
+
+// Row-chunk copy-on-write: appends fill the unpublished slots of a shared
+// chunk in place, while changing a published row copies its chunk — and
+// a snapshot pinned before the change keeps reading the old cell.
+TEST(Mvcc, PublishedRowUpdateCopiesChunk) {
+    rdb::Database db;
+    rdb::TableDef def;
+    def.name = "t";
+    def.columns = {{"id", rdb::ValueType::kInteger, true, true},
+                   {"v", rdb::ValueType::kText, false, false}};
+    db.create_table(std::move(def));
+    auto commit_insert = [&](const char* v) {
+        db.begin_unit();
+        db.require("t").insert({rdb::Value::null(), rdb::Value(v)});
+        db.commit_unit();
+    };
+    commit_insert("a");
+    rdb::ReadSnapshot pinned = db.read_snapshot();
+    commit_insert("b");
+    EXPECT_EQ(db.mvcc_stats().chunks_cowed, 0u)
+        << "an append must not copy the shared tail chunk";
+
+    db.begin_unit();
+    db.require("t").update(0, "v", rdb::Value("z"));
+    db.commit_unit();
+    EXPECT_EQ(db.mvcc_stats().chunks_cowed, 1u);
+
+    const rdb::Table& old_t = pinned.view().require("t");
+    ASSERT_EQ(old_t.row_count(), 1u);
+    EXPECT_EQ(old_t.row(0)[1].as_text(), "a");
+    rdb::ReadSnapshot now = db.read_snapshot();
+    const rdb::Table& new_t = now.view().require("t");
+    ASSERT_EQ(new_t.row_count(), 2u);
+    EXPECT_EQ(new_t.row(0)[1].as_text(), "z");
+    EXPECT_EQ(new_t.row(1)[1].as_text(), "b");
 }
 
 // Durable variant: the same oracle with checkpoints interleaved.  A
@@ -293,6 +338,47 @@ TEST(Mvcc, PinnedEpochOutlivesWriter) {
     rdb::IntegrityReport report = rdb::verify_database(pinned.view());
     EXPECT_TRUE(report.clean()) << report.to_string();
     EXPECT_GT(report.rows_checked, 0u);
+}
+
+// Database::create_index is DDL: at depth 0 it bumps the watermark and
+// publishes, so a snapshot taken right after the call already plans with
+// the index; inside a unit the commit publishes it.  SQL CREATE INDEX
+// goes the same way.
+TEST(Mvcc, CreateIndexPublishesAVersion) {
+    rdb::Database db;
+    rdb::TableDef def;
+    def.name = "t";
+    def.columns = {{"id", rdb::ValueType::kInteger, true, true},
+                   {"v", rdb::ValueType::kText, false, false},
+                   {"w", rdb::ValueType::kText, false, false},
+                   {"x", rdb::ValueType::kText, false, false}};
+    db.create_table(std::move(def));
+    db.begin_unit();
+    db.require("t").insert({rdb::Value::null(), rdb::Value("a"),
+                            rdb::Value("b"), rdb::Value("c")});
+    db.commit_unit();
+
+    std::uint64_t wm = db.commit_watermark();
+    db.create_index("t", "v");
+    EXPECT_GT(db.commit_watermark(), wm);
+    {
+        rdb::ReadSnapshot snap = db.read_snapshot();
+        const rdb::Table& t = snap.view().require("t");
+        EXPECT_TRUE(t.has_index("v"));
+        EXPECT_EQ(t.index_lookup("v", rdb::Value("a")).size(), 1u);
+    }
+    wm = db.commit_watermark();
+    db.create_index("t", "v");  // already indexed: nothing to publish
+    EXPECT_EQ(db.commit_watermark(), wm);
+
+    db.begin_unit();
+    db.create_index("t", "w", rdb::IndexKind::kOrdered);
+    EXPECT_FALSE(db.read_snapshot().view().require("t").has_index("w"));
+    db.commit_unit();
+    EXPECT_TRUE(db.read_snapshot().view().require("t").has_ordered_index("w"));
+
+    sql::execute(db, "CREATE INDEX t_x ON t (x)");
+    EXPECT_TRUE(db.read_snapshot().view().require("t").has_index("x"));
 }
 
 // Version GC: epochs retire when the last snapshot pinning them drops.

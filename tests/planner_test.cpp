@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,67 @@ TEST(NdvSketch, NullsAndClear) {
     s.clear();
     EXPECT_TRUE(s.empty());
     EXPECT_EQ(s.estimate(), 0u);
+}
+
+/// The set-based KMV sketch the flat-buffer NdvSketch replaced, kept as
+/// the reference its estimates must equal.
+class SetSketch {
+public:
+    explicit SetSketch(std::size_t k) : k_(k) {}
+    void add_hash(std::uint64_t h) {
+        if (mins_.size() < k_) {
+            mins_.insert(h);
+            return;
+        }
+        if (h >= *mins_.rbegin()) return;
+        if (mins_.insert(h).second) mins_.erase(std::prev(mins_.end()));
+    }
+    [[nodiscard]] std::uint64_t estimate() const {
+        if (mins_.size() < k_) return mins_.size();
+        double kth = static_cast<double>(*mins_.rbegin());
+        if (kth <= 0.0) return mins_.size();
+        double est =
+            (static_cast<double>(k_) - 1.0) * 18446744073709551616.0 / kth;
+        return est < 1.0 ? 1 : static_cast<std::uint64_t>(est);
+    }
+
+private:
+    std::size_t k_;
+    std::set<std::uint64_t> mins_;
+};
+
+// Randomized equivalence: over seeded streams of mixed values with heavy
+// duplication and several capacities, the flat sorted buffer reports
+// exactly the estimate of the std::set implementation after every add.
+TEST(NdvSketch, FlatBufferMatchesSetReference) {
+    const std::uint64_t seed =
+        std::getenv("XMLREL_FUZZ_SEED") != nullptr
+            ? std::strtoull(std::getenv("XMLREL_FUZZ_SEED"), nullptr, 10)
+            : 20260901;
+    std::mt19937_64 rng(seed);
+    for (std::size_t k : {1u, 2u, 7u, 64u, 256u}) {
+        for (int stream = 0; stream < 4; ++stream) {
+            rdb::NdvSketch flat(k);
+            SetSketch ref(k);
+            std::uint64_t domain = 1 + rng() % 5000;
+            for (int i = 0; i < 3000; ++i) {
+                Value v;
+                switch (rng() % 3) {
+                    case 0:
+                        v = Value(static_cast<std::int64_t>(rng() % domain));
+                        break;
+                    case 1: v = Value("s" + std::to_string(rng() % domain)); break;
+                    default:
+                        v = Value(static_cast<double>(rng() % domain) + 0.5);
+                }
+                flat.add(v);
+                ref.add_hash(rdb::NdvSketch::hash(v));
+                ASSERT_EQ(flat.estimate(), ref.estimate())
+                    << "seed " << seed << " k " << k << " stream " << stream
+                    << " add " << i;
+            }
+        }
+    }
 }
 
 // Hand-built skewed schema: `big` (2000 rows, near-unique indexed `val`,
