@@ -14,9 +14,9 @@
 //                               [--serve-threads N] [--cache-mb M]
 //       Map the DTD, validate and load the documents, then run SQL
 //       statements and/or path queries (shown with their generated SQL),
-//       and optionally reconstruct document N back to XML.  With
-//       --jobs N (N != 1) the corpus goes through the parallel bulk-load
-//       pipeline: N shredding workers (0 = one per hardware thread),
+//       and optionally reconstruct document N back to XML.  The corpus
+//       goes through the bulk-load pipeline: --jobs N shredding workers
+//       (default 1, which runs inline; 0 = one per hardware thread),
 //       batched appends, one index rebuild, one IDREF resolution pass.
 //       --on-error picks the failure policy: fail (default) rolls the
 //       whole load back on the first bad document, skip drops bad
@@ -42,11 +42,10 @@
 //       the admission queue (excess submissions are shed with a
 //       retry-after hint), and --row-budget caps the rows any one query
 //       may materialize; the end-of-run statistics include the
-//       admitted/shed/expired counts and queue-wait percentiles.  --no-struct-index disables the structural
-//       (pre, post) interval index for '//' / [ancestor::] translation,
-//       falling back to the legacy join-chain expansion; --explain prints
-//       an EXPLAIN line per path query: the translation summary plus the
-//       cost-based plan (per-stage access path, estimated rows and cost).
+//       admitted/shed/expired counts and queue-wait percentiles.
+//       --explain prints an EXPLAIN line per path query: the translation
+//       summary plus the cost-based plan (per-stage access path, estimated
+//       rows and cost).
 //       --analyze rebuilds table statistics (ANALYZE) after loading and
 //       prints the report; --no-planner disables the cost-based join
 //       reordering so statements run exactly as translated/written.
@@ -111,7 +110,7 @@ int usage() {
                  "[--sql STMT]... [--query PATH]... [--reconstruct N] "
                  "[--serve-threads N] [--cache-mb M] "
                  "[--deadline-ms N] [--max-queue N] [--row-budget N] "
-                 "[--no-struct-index] [--explain] [--analyze] "
+                 "[--explain] [--analyze] "
                  "[--no-planner] [--verify] [--salvage]\n"
               << "    (with --data-dir the <xml-file> list may be empty: "
                  "--verify checks an\n"
@@ -162,7 +161,7 @@ int cmd_load(const std::vector<std::string>& args) {
     std::vector<std::string> sql_statements;
     std::vector<std::string> path_queries;
     std::int64_t reconstruct_doc = -1;
-    std::int64_t jobs = 1;  // 1 = serial loader; 0 = all hardware threads
+    std::int64_t jobs = 1;  // 1 = inline; 0 = all hardware threads
     xr::loader::FailurePolicy on_error = xr::loader::FailurePolicy::kFailFast;
     std::string data_dir;
     std::int64_t checkpoint_every = 0;  // 0 = only where --no-wal requires one
@@ -173,7 +172,6 @@ int cmd_load(const std::vector<std::string>& args) {
     std::int64_t deadline_ms = 0;  // 0 = no per-query deadline
     std::int64_t max_queue = 0;    // 0 = unbounded admission
     std::int64_t row_budget = 0;   // 0 = unlimited materialization
-    bool use_struct_index = true;
     bool explain = false;
     bool analyze = false;
     bool use_planner = true;
@@ -247,8 +245,6 @@ int cmd_load(const std::vector<std::string>& args) {
             auto v = int_arg(i);
             if (!v || *v <= 0) return usage();
             row_budget = *v;
-        } else if (args[i] == "--no-struct-index") {
-            use_struct_index = false;
         } else if (args[i] == "--explain") {
             explain = true;
         } else if (args[i] == "--analyze") {
@@ -332,39 +328,29 @@ int cmd_load(const std::vector<std::string>& args) {
         for (auto& e : part.errors) report.errors.push_back(std::move(e));
     };
 
-    xr::loader::Loader serial_loader(dtd, m, schema, db);
-    xr::loader::BulkLoader bulk_loader(dtd, m, schema, db);
+    xr::loader::BulkLoader loader(dtd, m, schema, db);
+    xr::loader::BulkLoadOptions load_opts;
+    load_opts.jobs = static_cast<std::size_t>(jobs);
+    load_opts.validate = true;
+    load_opts.on_error = on_error;
+    if (max_depth > 0)
+        load_opts.parse.max_depth = static_cast<std::size_t>(max_depth);
     for (std::size_t base = 0; base < texts.size(); base += chunk) {
         std::vector<std::string> part(
             texts.begin() + static_cast<std::ptrdiff_t>(base),
             texts.begin() + static_cast<std::ptrdiff_t>(
                                 std::min(base + chunk, texts.size())));
-        if (jobs == 1) {
-            xr::loader::LoadOptions opt;
-            opt.on_error = on_error;
-            if (max_depth > 0)
-                opt.parse.max_depth = static_cast<std::size_t>(max_depth);
-            merge_chunk(serial_loader.load_texts(part, opt), base);
-        } else {
-            xr::loader::BulkLoadOptions opt;
-            opt.jobs = static_cast<std::size_t>(jobs);
-            opt.validate = true;
-            opt.on_error = on_error;
-            if (max_depth > 0)
-                opt.parse.max_depth = static_cast<std::size_t>(max_depth);
-            merge_chunk(bulk_loader.load_texts(part, opt), base);
-        }
+        merge_chunk(loader.load_texts(part, load_opts), base);
         if (checkpoint_every > 0 && base + chunk < texts.size()) {
             xr::rdb::SnapshotStats snap = db.checkpoint();
             std::cout << "checkpoint: " << snap.tables << " table(s), "
                       << snap.rows << " row(s), " << snap.bytes << " bytes\n";
         }
     }
-    if (jobs != 1)
-        std::cout << "bulk-loaded " << report.loaded << " document(s) with "
-                  << (jobs == 0 ? "all hardware threads"
-                                : std::to_string(jobs) + " worker(s)")
-                  << "\n";
+    std::cout << "bulk-loaded " << report.loaded << " document(s) with "
+              << (jobs == 0 ? "all hardware threads"
+                            : std::to_string(jobs) + " worker(s)")
+              << "\n";
     // Without a WAL nothing has reached disk yet; with --checkpoint-every
     // the final chunk's WAL tail is folded into a last snapshot too.
     if (!data_dir.empty() && (!use_wal || checkpoint_every > 0)) {
@@ -438,7 +424,6 @@ int cmd_load(const std::vector<std::string>& args) {
         xr::query::ServiceOptions sopts;
         sopts.threads = static_cast<std::size_t>(serve_threads);
         sopts.result_cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
-        sopts.use_struct_index = use_struct_index;
         sopts.use_planner = use_planner;
         sopts.default_deadline = std::chrono::milliseconds(deadline_ms);
         sopts.max_queue = static_cast<std::size_t>(max_queue);
@@ -529,9 +514,7 @@ int cmd_load(const std::vector<std::string>& args) {
             std::cout << "\nquery> " << text << "\n";
             auto q = xr::xquery::parse_query(text);
             try {
-                xr::xquery::TranslateOptions topts;
-                topts.use_struct_index = use_struct_index;
-                auto t = translator.translate(q, topts);
+                auto t = translator.translate(q);
                 std::cout << "  sql: " << t.sql << "\n";
                 if (explain) print_explain(t);
                 auto results =

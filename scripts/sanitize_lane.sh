@@ -4,9 +4,10 @@
 # ASan lane (default): the bulk-load pipeline, the fault-injection matrix,
 # the durability layer (snapshots, WAL, crash recovery), the integrity
 # checker and corruption fuzzers, the structural-index tests, the
-# overload/cancellation lifecycle, and a short torture campaign — every
-# code path that handles torn/corrupt input, label arithmetic, or
-# mid-query unwinding.  The full suite under ASan is slow; these labels
+# overload/cancellation lifecycle, the SQL executor's own tests (`sql`:
+# the only tests that reach NOT and three-valued AND/OR over NULL) and a
+# short torture campaign — every code path that handles torn/corrupt
+# input, label arithmetic, predicate evaluation, or mid-query unwinding.  The full suite under ASan is slow; these labels
 # are where the sanitizer earns its keep.
 #
 # TSan lane (`thread`): the differential query fuzzer, the concurrent
@@ -23,9 +24,10 @@
 #
 # UBSan lane (`undefined`): the planner's selectivity/cost arithmetic
 # (double math over row counts, bitmask subset walks), the structural
-# interval label arithmetic, the query fuzzer and the integrity checker
-# (which sums attacker-controlled label spans) — the code where a
-# silent overflow would skew a plan rather than crash.
+# interval label arithmetic, the query fuzzer, the SQL executor tests
+# (integer arithmetic, three-valued predicate evaluation) and the
+# integrity checker (which sums attacker-controlled label spans) — the
+# code where a silent overflow would skew a plan rather than crash.
 #
 # Both ASan and TSan lanes also carry the planner label: statistics are
 # folded on the commit path and read by concurrent planning threads.
@@ -40,7 +42,7 @@ LANE=${1:-address}
 case "$LANE" in
   address)
     BUILD_DIR=${2:-build-asan}
-    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|torture'
+    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|sql|torture'
     # Keep the sanitized torture leg short; scripts/torture.sh owns the
     # long campaign on the plain build.
     XMLREL_TORTURE_ITERS=${XMLREL_TORTURE_ITERS:-10}
@@ -52,7 +54,7 @@ case "$LANE" in
     ;;
   undefined)
     BUILD_DIR=${2:-build-ubsan}
-    LABELS='planner|index|query|integrity|mvcc'
+    LABELS='planner|index|query|integrity|mvcc|sql'
     ;;
   *)
     echo "usage: $0 [address|thread|undefined] [build-dir]" >&2

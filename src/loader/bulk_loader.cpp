@@ -125,71 +125,32 @@ BulkLoader::BulkLoader(const dtd::Dtd& logical,
                        const rel::RelationalSchema& schema, rdb::Database& db)
     : db_(db), schema_(schema), loader_(logical, mapping, schema, db) {}
 
-std::int64_t BulkLoader::next_doc_base() const {
-    std::int64_t base = 1;
-    if (const rdb::Table* docs = db_.table("xrel_docs")) {
-        int c = docs->def().column_index("doc");
-        if (c >= 0) {
-            for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-                const auto& row = docs->row(id);
-                if (!row[c].is_null())
-                    base = std::max(base, row[c].as_integer() + 1);
-            }
-        }
-    }
-    return base;
-}
-
-std::int64_t BulkLoader::next_label_base() const {
-    // First structural label past everything already committed — the same
-    // watermark the serial Loader recovers from xrel_docs.
-    std::int64_t base = 0;
-    if (const rdb::Table* docs = db_.table("xrel_docs")) {
-        int b = docs->def().column_index("label_base");
-        int s = docs->def().column_index("label_span");
-        if (b >= 0 && s >= 0) {
-            for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-                const auto& row = docs->row(id);
-                if (!row[b].is_null() && !row[s].is_null())
-                    base = std::max(base,
-                                    row[b].as_integer() + row[s].as_integer());
-            }
-        }
-    }
-    return base;
-}
-
 LoadReport BulkLoader::load_corpus(const std::vector<xml::Document*>& docs,
                                    const BulkLoadOptions& options) {
-    std::int64_t base = next_doc_base();
     return run(
         docs.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            loader_.shred_document(*docs[i],
-                                   base + static_cast<std::int64_t>(i), lopt,
-                                   sink, stats);
+        [&](std::size_t i, std::int64_t doc_id, RowSink& sink,
+            LoadStats& stats, const LoadOptions& lopt) {
+            loader_.shred_document(*docs[i], doc_id, lopt, sink, stats);
         },
         [&](std::size_t i) { return xml::serialize(*docs[i]); }, options);
 }
 
 LoadReport BulkLoader::load_texts(const std::vector<std::string>& texts,
                                   const BulkLoadOptions& options) {
-    std::int64_t base = next_doc_base();
     return run(
         texts.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            auto doc = xml::parse_document(texts[i], lopt.parse);
-            loader_.shred_document(*doc, base + static_cast<std::int64_t>(i),
-                                   lopt, sink, stats);
+        [&](std::size_t i, std::int64_t doc_id, RowSink& sink,
+            LoadStats& stats, const LoadOptions& lopt) {
+            auto doc = xml::parse_document(texts[i], options.parse);
+            loader_.shred_document(*doc, doc_id, lopt, sink, stats);
         },
         [&](std::size_t i) { return texts[i]; }, options);
 }
 
 LoadReport BulkLoader::run(
     std::size_t count,
-    const std::function<void(std::size_t, RowSink&, LoadStats&,
+    const std::function<void(std::size_t, std::int64_t, RowSink&, LoadStats&,
                              const LoadOptions&)>& shred_one,
     const std::function<std::string(std::size_t)>& raw_text,
     const BulkLoadOptions& options) {
@@ -197,7 +158,6 @@ LoadReport BulkLoader::run(
     lopt.validate = options.validate;
     lopt.strict = options.strict;
     lopt.resolve_references = false;
-    lopt.parse = options.parse;
 
     LoadReport report;
     report.policy = options.on_error;
@@ -209,7 +169,9 @@ LoadReport BulkLoader::run(
     jobs = std::clamp<std::size_t>(jobs, 1, std::max<std::size_t>(count, 1));
     auto chunk =
         static_cast<std::int64_t>(std::max<std::size_t>(options.pk_chunk, 1));
-    std::int64_t base = next_doc_base();
+    // Documents shred under provisional ids: base + corpus index.
+    const DocWatermark next = loader_.watermark();
+    const std::int64_t base = next.doc;
 
     std::vector<StagingSink> sinks;
     sinks.reserve(jobs);
@@ -248,10 +210,11 @@ LoadReport BulkLoader::run(
             LoadStats doc_stats;
             sinks[w].begin_doc();
             try {
-                shred_one(i, sinks[w], doc_stats, lopt);
+                std::int64_t doc_id = base + static_cast<std::int64_t>(i);
+                shred_one(i, doc_id, sinks[w], doc_stats, lopt);
                 sinks[w].commit_doc();
                 state.stats.merge(doc_stats);
-                outcome.doc = base + static_cast<std::int64_t>(i);
+                outcome.doc = doc_id;
                 outcome.label_span = doc_stats.label_span;
             } catch (...) {
                 sinks[w].rollback_doc();
@@ -321,16 +284,15 @@ LoadReport BulkLoader::run(
             db_.rollback_unit();
             report.leaked_pks = 0;
         } else {
-            // Documents were shredded under provisional ids (base + corpus
-            // index).  Re-number the survivors densely so the result is
+            // Re-number the survivors densely so the result is
             // indistinguishable from a corpus that never contained the
             // failed documents.
             std::map<std::int64_t, std::int64_t> doc_remap;
             // Workers labelled each document starting at 0; survivors now
             // get consecutive global intervals in corpus order — the same
-            // bases a serial load of only these documents would assign.
+            // bases per-document loads of only these documents would assign.
             std::map<std::int64_t, std::int64_t> label_shift;  // prov doc → base
-            std::int64_t label_cursor = next_label_base();
+            std::int64_t label_cursor = next.label;
             for (auto& outcome : report.outcomes) {
                 if (outcome.status != DocumentOutcome::Status::kLoaded)
                     continue;

@@ -1,9 +1,11 @@
-// Corpus-scale parallel bulk loading.
+// Corpus loading: the one path for loading more than one document.
 //
 // The paper's Section 5 loader is serial: one document at a time, one
-// row-at-a-time insert, every index maintained on the fly.  BulkLoader
-// keeps the exact same shredding semantics (it reuses Loader's plans and
-// traversal) but restructures the work as the classic bulk-load pipeline:
+// row-at-a-time insert, every index maintained on the fly.  Loader::load
+// keeps that shape for a single document.  BulkLoader keeps the exact
+// same shredding semantics (it reuses Loader's plans and traversal) but
+// restructures corpus work as the classic bulk-load pipeline (with
+// jobs = 1 it runs inline on the calling thread):
 //
 //   1. parse/shred documents on a fixed-size worker pool; each worker
 //      stages rows in thread-local per-table buffers, drawing primary keys
@@ -23,12 +25,13 @@
 // only that document's staged rows and rewind its key reservations where
 // possible (LoadReport::leaked_pks counts the remainder).
 //
-// The loaded database is row-for-row equivalent to what the serial Loader
-// produces on the same corpus, up to row order within a table and the
-// numeric values of surrogate keys (ranges are handed out per worker, so
-// key sequences interleave differently).  That equivalence holds for
-// partial loads too: after a kSkip / kQuarantine load, doc ids are dense
-// over the surviving documents, exactly as if only they were submitted.
+// The loaded database is row-for-row equivalent to what one Loader::load
+// per document produces on the same corpus, up to row order within a
+// table and the numeric values of surrogate keys (ranges are handed out
+// per worker, so key sequences interleave differently).  That equivalence
+// holds for partial loads too: after a kSkip / kQuarantine load, doc ids
+// are dense over the surviving documents, exactly as if only they were
+// submitted.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +41,7 @@
 #include <vector>
 
 #include "loader/loader.hpp"
+#include "xml/parser.hpp"
 
 namespace xr::loader {
 
@@ -57,7 +61,9 @@ struct BulkLoadOptions {
     FailurePolicy on_error = FailurePolicy::kFailFast;
     /// Cap on formatted error strings kept in LoadReport::errors.
     std::size_t max_errors = 8;
-    /// Parser guards applied by load_texts (see LoadOptions::parse).
+    /// Parser guards (nesting depth, attribute and child fan-out, entity
+    /// expansion) applied by load_texts; a document over a limit is a
+    /// document-scoped parse failure, handled per `on_error`.
     xml::ParseOptions parse;
 };
 
@@ -91,10 +97,11 @@ private:
     Loader loader_;
     LoadStats stats_;
 
-    [[nodiscard]] std::int64_t next_doc_base() const;
-    [[nodiscard]] std::int64_t next_label_base() const;
+    /// Shred, merge and resolve one corpus; `shred_one(i, doc_id, sink,
+    /// stats, options)` shreds document i under provisional id `doc_id`.
     LoadReport run(std::size_t count,
-                   const std::function<void(std::size_t, RowSink&, LoadStats&,
+                   const std::function<void(std::size_t, std::int64_t,
+                                            RowSink&, LoadStats&,
                                             const LoadOptions&)>& shred_one,
                    const std::function<std::string(std::size_t)>& raw_text,
                    const BulkLoadOptions& options);

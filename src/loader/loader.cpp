@@ -5,7 +5,6 @@
 #include "common/fault.hpp"
 #include "common/strings.hpp"
 #include "rel/translate.hpp"
-#include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 
 namespace xr::loader {
@@ -121,22 +120,7 @@ void Loader::build_plans() {
     text_segments_ = db_.table(rel::kTextSegmentsTable);
     overflow_ = db_.table(rel::kOverflowTable);
 
-    // Continue doc-id assignment where a recovered database left off —
-    // a Loader over a freshly open()ed data directory must not reuse ids
-    // already committed to xrel_docs.
-    if (const rdb::Table* docs = db_.table("xrel_docs")) {
-        int c = docs->def().column_index("doc");
-        int b = docs->def().column_index("label_base");
-        int s = docs->def().column_index("label_span");
-        for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-            const auto& row = docs->row(id);
-            if (c >= 0 && !row[c].is_null())
-                next_doc_ = std::max(next_doc_, row[c].as_integer() + 1);
-            if (b >= 0 && s >= 0 && !row[b].is_null() && !row[s].is_null())
-                next_label_ = std::max(
-                    next_label_, row[b].as_integer() + row[s].as_integer());
-        }
-    }
+    docs_ = db_.table("xrel_docs");
 
     // Reference plans, keyed later through entity plans.
     std::map<std::string, RefPlan*> ref_by_name;  // relationship name → plan
@@ -302,174 +286,57 @@ void Loader::build_plans() {
     }
 }
 
+DocWatermark Loader::watermark() {
+    // A Loader over a recovered database, or beside another loader on the
+    // same one, must not reuse doc ids or label intervals already in
+    // xrel_docs.  Every registration bumps its pk counter and a rollback
+    // rewinds it, so an unchanged counter means `next_` is still exact.
+    std::int64_t at = docs_ != nullptr ? docs_->peek_next_pk() : 0;
+    if (at == next_seen_at_) return next_;
+    next_ = {};
+    if (docs_ != nullptr) {
+        const rdb::TableDef& def = docs_->def();
+        int c = def.column_index("doc");
+        int b = def.column_index("label_base");
+        int s = def.column_index("label_span");
+        for (rdb::RowId id = 0; id < docs_->row_count(); ++id) {
+            const auto& row = docs_->row(id);
+            if (c >= 0 && !row[c].is_null())
+                next_.doc = std::max(next_.doc, row[c].as_integer() + 1);
+            if (b >= 0 && s >= 0 && !row[b].is_null() && !row[s].is_null())
+                next_.label = std::max(
+                    next_.label, row[b].as_integer() + row[s].as_integer());
+        }
+    }
+    next_seen_at_ = at;
+    return next_;
+}
+
 std::int64_t Loader::load(xml::Document& doc, const LoadOptions& options) {
     DirectSink sink;
-    std::int64_t saved_doc = next_doc_;
-    std::int64_t saved_label = next_label_;
+    const DocWatermark at = watermark();
     LoadStats doc_stats;
     db_.begin_unit();
     try {
-        std::int64_t doc_id =
-            shred_document(doc, next_doc_++, options, sink, doc_stats,
-                           next_label_);
-        next_label_ += doc_stats.label_span;
+        shred_document(doc, at.doc, options, sink, doc_stats, at.label);
         if (options.resolve_references) resolve_references(doc_stats);
         db_.commit_unit();
-        // Committed for good (not nested in a caller's unit): the pass's
-        // scan watermark becomes the next pass's starting row.
-        if (options.resolve_references && !db_.in_unit())
-            for (auto& ref : ref_plans_) ref->scanned = ref->pass;
-        // Lifetime stats absorb the document only once it committed;
-        // unresolved_references stays a snapshot of the latest pass.
-        std::size_t unresolved = doc_stats.unresolved_references;
-        stats_.merge(doc_stats);
-        if (options.resolve_references)
-            stats_.unresolved_references = unresolved;
-        return doc_id;
     } catch (...) {
         db_.rollback_unit();
-        next_doc_ = saved_doc;
-        next_label_ = saved_label;
         throw;
     }
-}
-
-LoadReport Loader::load_corpus(const std::vector<xml::Document*>& docs,
-                               const LoadOptions& options) {
-    return corpus_load(
-        docs.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            shred_document(*docs[i], next_doc_++, lopt, sink, stats,
-                           next_label_);
-            next_label_ += stats.label_span;
-        },
-        [&](std::size_t i) { return xml::serialize(*docs[i]); }, options);
-}
-
-LoadReport Loader::load_texts(const std::vector<std::string>& texts,
-                              const LoadOptions& options) {
-    return corpus_load(
-        texts.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            auto doc = xml::parse_document(texts[i], lopt.parse);
-            shred_document(*doc, next_doc_++, lopt, sink, stats, next_label_);
-            next_label_ += stats.label_span;
-        },
-        [&](std::size_t i) { return texts[i]; }, options);
-}
-
-LoadReport Loader::corpus_load(
-    std::size_t count,
-    const std::function<void(std::size_t, RowSink&, LoadStats&,
-                             const LoadOptions&)>& shred_one,
-    const std::function<std::string(std::size_t)>& raw_text,
-    const LoadOptions& options) {
-    LoadReport report;
-    report.policy = options.on_error;
-    report.attempted = count;
-    LoadOptions lopt = options;
-    lopt.resolve_references = false;  // one pass over the whole corpus
-
-    DirectSink sink;
-    std::int64_t corpus_doc_mark = next_doc_;
-    std::int64_t corpus_label_mark = next_label_;
-    db_.begin_unit();  // corpus unit: fail_fast (and any infrastructure
-                       // failure) restores the pre-load state exactly
-    try {
-        for (std::size_t i = 0; i < count; ++i) {
-            DocumentOutcome outcome;
-            outcome.index = i;
-            std::int64_t saved_doc = next_doc_;
-            std::int64_t saved_label = next_label_;
-            LoadStats doc_stats;
-            db_.begin_unit();  // document unit
-            try {
-                shred_one(i, sink, doc_stats, lopt);
-                db_.commit_unit();
-                report.stats.merge(doc_stats);
-                outcome.doc = next_doc_ - 1;
-                ++report.loaded;
-            } catch (...) {
-                // Roll the document back completely — rows, indexes, pk
-                // counters, its doc id and its label interval — before
-                // deciding what's next.  Returning the label watermark
-                // keeps intervals dense; even when later documents already
-                // claimed higher bases the resulting gap is harmless
-                // (disjoint ranges cannot fake containment).
-                db_.rollback_unit();
-                next_doc_ = saved_doc;
-                next_label_ = saved_label;
-                LoadErrorInfo info = classify_load_error();
-                outcome.status = options.on_error == FailurePolicy::kQuarantine
-                                     ? DocumentOutcome::Status::kQuarantined
-                                     : DocumentOutcome::Status::kFailed;
-                outcome.error_type = std::move(info.type);
-                outcome.error = std::move(info.message);
-                outcome.where = info.where;
-                outcome.retryable = info.retryable;
-                ++report.failed;
-                if (outcome.retryable) ++report.retryable;
-                if (report.errors.size() < options.max_errors)
-                    report.errors.push_back(format_outcome(outcome));
-                report.outcomes.push_back(std::move(outcome));
-                if (options.on_error == FailurePolicy::kFailFast) throw;
-                continue;
-            }
-            report.outcomes.push_back(std::move(outcome));
-        }
-        if (report.loaded == 0) {
-            // Nothing survived: make the load a no-op (no resolution pass
-            // over pre-existing data, doc counter restored).
-            db_.rollback_unit();
-            next_doc_ = corpus_doc_mark;
-            next_label_ = corpus_label_mark;
-        } else {
-            // Single resolution pass; a failure here is infrastructure-
-            // scoped and rolls back the whole corpus regardless of policy.
-            resolve_references(report.stats);
-            db_.commit_unit();
-        }
-    } catch (...) {
-        db_.rollback_unit();
-        next_doc_ = corpus_doc_mark;
-        next_label_ = corpus_label_mark;
-        throw;
-    }
-    // Lifetime stats: merged only once the corpus committed.  Unresolved
-    // references are a snapshot of the resolution pass, not a sum.
-    if (report.loaded > 0) {
-        std::size_t unresolved_snapshot = report.stats.unresolved_references;
-        stats_.merge(report.stats);
-        stats_.unresolved_references = unresolved_snapshot;
-    }
-
-    // Quarantine records survive only when the load itself commits.  They
-    // go through their own unit so the commit flushes them to the WAL —
-    // otherwise these depth-0 inserts would sit in the log buffer and a
-    // crash before the next load would silently drop them.
-    if (options.on_error == FailurePolicy::kQuarantine) {
-        bool any = false;
-        for (const auto& outcome : report.outcomes)
-            any |= outcome.status == DocumentOutcome::Status::kQuarantined;
-        if (any) {
-            db_.begin_unit();
-            try {
-                for (const auto& outcome : report.outcomes) {
-                    if (outcome.status != DocumentOutcome::Status::kQuarantined)
-                        continue;
-                    quarantine_document(db_, outcome, raw_text(outcome.index));
-                    ++report.quarantined;
-                }
-                db_.commit_unit();
-            } catch (...) {
-                db_.rollback_unit();
-                throw;
-            }
-        }
-    }
-    return report;
+    next_ = {at.doc + 1, at.label + doc_stats.label_span};
+    next_seen_at_ = docs_ != nullptr ? docs_->peek_next_pk() : 0;
+    // Committed for good (not nested in a caller's unit): the pass's scan
+    // watermark becomes the next pass's starting row.
+    if (options.resolve_references && !db_.in_unit())
+        for (auto& ref : ref_plans_) ref->scanned = ref->pass;
+    // Lifetime stats absorb the document only once it committed;
+    // unresolved_references stays a snapshot of the latest pass.
+    std::size_t unresolved = doc_stats.unresolved_references;
+    stats_.merge(doc_stats);
+    if (options.resolve_references) stats_.unresolved_references = unresolved;
+    return at.doc;
 }
 
 std::int64_t Loader::shred_document(xml::Document& doc, std::int64_t doc_id,
@@ -489,8 +356,8 @@ std::int64_t Loader::shred_document(xml::Document& doc, std::int64_t doc_id,
     std::int64_t root_pk =
         load_element(*doc.root(), doc_id, options, sink, stats, label, 0);
     stats.label_span = label - label_base;
-    if (rdb::Table* docs = db_.table("xrel_docs")) {
-        sink.append(*docs, {Value::null(), Value(doc_id),
+    if (docs_ != nullptr) {
+        sink.append(*docs_, {Value::null(), Value(doc_id),
                             Value(doc.root()->name()), Value(root_pk),
                             Value(label_base), Value(stats.label_span)});
     }

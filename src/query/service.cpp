@@ -34,8 +34,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 
 QueryService::QueryService(rdb::Database& db, ServiceOptions options)
     : db_(db), options_(options) {
-    use_struct_index_.store(options_.use_struct_index,
-                            std::memory_order_relaxed);
     use_planner_.store(options_.use_planner, std::memory_order_relaxed);
     for (std::size_t i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this] { worker_loop(); });
@@ -98,7 +96,7 @@ QueryService::Result QueryService::sql(const std::string& text,
         return std::make_shared<const sql::ResultSet>();
     }
     sql_queries_.fetch_add(1, std::memory_order_relaxed);
-    cancel.check();  // don't take the latch for an already-dead query
+    cancel.check();  // don't pin a snapshot for an already-dead query
     sql::PlannerOptions popts;
     popts.enable = use_planner_.load(std::memory_order_relaxed);
     rdb::ReadSnapshot snapshot = db_.read_snapshot();
@@ -152,12 +150,9 @@ xquery::Translation QueryService::translate_with(const std::string& text,
             "this query service was built without a mapping; "
             "path queries are not available");
     xquery::PathQuery q = xquery::parse_query(text);
-    xquery::TranslateOptions topts;
-    topts.use_struct_index = use_struct_index_.load(std::memory_order_relaxed);
-    topts.cancel = cancel;
-    if (plan_cache_ != nullptr)
-        return plan_cache_->get(q, topts, db_.stats_epoch());
-    return translator_->translate(q, topts);
+    cancel.check();  // don't translate for an already-dead query
+    if (plan_cache_ != nullptr) return plan_cache_->get(q, db_.stats_epoch());
+    return translator_->translate(q);
 }
 
 QueryService::Submission QueryService::submit_sql(std::string text) {

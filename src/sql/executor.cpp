@@ -20,6 +20,8 @@ using rdb::RowId;
 using rdb::Table;
 using rdb::Value;
 
+/// WHERE / HAVING / ON keep a row only when its condition is TRUE:
+/// UNKNOWN (NULL) filters like FALSE.
 bool truthy(const Value& v) {
     if (v.is_null()) return false;
     switch (v.type()) {
@@ -133,8 +135,12 @@ public:
             case Expr::Kind::kColumn:
                 return tables_[e.bound_table].table->row(
                     ctx[e.bound_table])[e.bound_column];
-            case Expr::Kind::kNot:
-                return Value(static_cast<std::int64_t>(!truthy(eval(*e.right, ctx))));
+            case Expr::Kind::kNot: {
+                // Three-valued: NOT UNKNOWN is UNKNOWN.
+                Value v = eval(*e.right, ctx);
+                if (v.is_null()) return v;
+                return Value(static_cast<std::int64_t>(!truthy(v)));
+            }
             case Expr::Kind::kIsNull: {
                 bool is_null = eval(*e.right, ctx).is_null();
                 return Value(static_cast<std::int64_t>(e.negated ? !is_null
@@ -154,14 +160,20 @@ private:
     const std::vector<BoundTable>& tables_;
 
     Value eval_binary(const Expr& e, const std::vector<RowId>& ctx) const {
-        // Short-circuit logic.
-        if (e.op == BinaryOp::kAnd) {
-            if (!truthy(eval(*e.left, ctx))) return Value(0);
-            return Value(static_cast<std::int64_t>(truthy(eval(*e.right, ctx))));
-        }
-        if (e.op == BinaryOp::kOr) {
-            if (truthy(eval(*e.left, ctx))) return Value(1);
-            return Value(static_cast<std::int64_t>(truthy(eval(*e.right, ctx))));
+        // Three-valued, short-circuit logic with NULL as UNKNOWN: FALSE
+        // decides AND and TRUE decides OR whatever the other side is;
+        // otherwise an UNKNOWN side makes the result UNKNOWN.
+        if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) {
+            const bool decisive = e.op == BinaryOp::kOr;
+            auto decides = [&](const Value& v) {
+                return !v.is_null() && truthy(v) == decisive;
+            };
+            Value a = eval(*e.left, ctx);
+            if (decides(a)) return Value(static_cast<std::int64_t>(decisive));
+            Value b = eval(*e.right, ctx);
+            if (decides(b)) return Value(static_cast<std::int64_t>(decisive));
+            if (a.is_null() || b.is_null()) return Value::null();
+            return Value(static_cast<std::int64_t>(!decisive));
         }
 
         Value a = eval(*e.left, ctx);

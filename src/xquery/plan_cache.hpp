@@ -48,15 +48,10 @@ public:
     /// Translate `query`, serving repeats from the cache.  Throws
     /// xr::QueryError exactly as SqlTranslator::translate does (failures
     /// are not cached — an untranslatable query stays an error).
-    /// Translations under different TranslateOptions get distinct keys
-    /// (the flag is folded into the key), so toggling the structural
-    /// index never serves a plan from the other mode.  `stats_epoch` is
-    /// also folded into the key (DESIGN.md §13): when table statistics
-    /// change materially, entries cached under the old epoch age out of
-    /// the LRU instead of pinning a stale plan shape forever.
-    [[nodiscard]] Translation get(const PathQuery& query);
+    /// `stats_epoch` is folded into the key (DESIGN.md §13): when table
+    /// statistics change materially, entries cached under the old epoch
+    /// age out of the LRU instead of pinning a stale plan shape forever.
     [[nodiscard]] Translation get(const PathQuery& query,
-                                  const TranslateOptions& options,
                                   std::uint64_t stats_epoch = 0);
 
     [[nodiscard]] PlanCacheStats stats() const;

@@ -1,8 +1,9 @@
 // Bulk-load pipeline: the parallel staged loader must be observationally
-// equivalent to the serial row-at-a-time loader — same row counts per
-// table, same ID registry contents, same reference-resolution stats and
-// byte-identical reconstructions — differing only in surrogate key values
-// (bulk reserves chunked per-worker pk ranges) and physical row order.
+// equivalent to one row-at-a-time Loader::load per document — same row
+// counts per table, same ID registry contents, same reference-resolution
+// stats and byte-identical reconstructions — differing only in surrogate
+// key values (bulk reserves chunked per-worker pk ranges) and physical
+// row order.
 // Also covers the rdb-level machinery underneath: batched inserts and
 // deferred index rebuilds.
 #include <gtest/gtest.h>
@@ -199,6 +200,62 @@ TEST(BulkLoader, AppendsToAlreadyLoadedDatabase) {
     loader::Reconstructor r(stack.mapping, stack.schema, stack.db);
     auto roundtrip = r.reconstruct(1);
     EXPECT_EQ(roundtrip->root()->name(), "article");
+}
+
+TEST(BulkLoader, LoaderAfterBulkLoadTakesFreshDocIdsAndLabels) {
+    // A Loader and a BulkLoader on one database, interleaved: each load
+    // must continue past everything the other committed.  A reused doc id
+    // or label interval would let '//' containment joins match across
+    // documents and make reconstruction by doc id merge two documents.
+    auto text = [](int n) {
+        std::string i = std::to_string(n);
+        return "<article><title>t" + i + "</title><author id=\"a" + i +
+               "\"><name><lastname>L" + i +
+               "</lastname></name></author></article>";
+    };
+    test::Stack stack(gen::paper_dtd());
+    auto d0 = xml::parse_document(text(0));
+    EXPECT_EQ(stack.loader->load(*d0), 1);
+    loader::BulkLoader bl(stack.logical, stack.mapping, stack.schema, stack.db);
+    loader::BulkLoadOptions options;
+    options.jobs = 1;
+    loader::LoadReport report = bl.load_texts({text(1), text(2)}, options);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.outcomes[1].doc, 3);
+    auto d3 = xml::parse_document(text(3));
+    EXPECT_EQ(stack.loader->load(*d3), 4);
+    EXPECT_EQ(bl.load_texts({text(4)}, options).outcomes[0].doc, 5);
+
+    // xrel_docs: every doc id once, label intervals disjoint.
+    const rdb::Table& docs = stack.db.require("xrel_docs");
+    int c = docs.def().column_index("doc");
+    int b = docs.def().column_index("label_base");
+    int sp = docs.def().column_index("label_span");
+    std::vector<std::int64_t> ids;
+    std::vector<std::pair<std::int64_t, std::int64_t>> intervals;
+    for (rdb::RowId id = 0; id < docs.row_count(); ++id) {
+        const auto& row = docs.row(id);
+        ids.push_back(row[c].as_integer());
+        intervals.emplace_back(row[b].as_integer(),
+                               row[b].as_integer() + row[sp].as_integer());
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
+    std::sort(intervals.begin(), intervals.end());
+    for (std::size_t i = 1; i < intervals.size(); ++i)
+        EXPECT_LE(intervals[i - 1].second, intervals[i].first) << i;
+
+    // Each doc id reconstructs exactly its own document.
+    loader::Reconstructor r(stack.mapping, stack.schema, stack.db);
+    for (int n = 0; n < 5; ++n) {
+        test::Stack fresh(gen::paper_dtd());
+        auto doc = xml::parse_document(text(n));
+        fresh.loader->load(*doc);
+        loader::Reconstructor rf(fresh.mapping, fresh.schema, fresh.db);
+        EXPECT_EQ(xml::serialize(*r.reconstruct(n + 1)),
+                  xml::serialize(*rf.reconstruct(1)))
+            << "doc " << n + 1;
+    }
 }
 
 TEST(BulkLoader, FailedDocumentLeavesDatabaseUntouched) {

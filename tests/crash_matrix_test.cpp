@@ -1,6 +1,6 @@
-// Crash matrix (DESIGN.md §8): every durability fault point × {serial,
-// bulk jobs=4}, asserting the two recovery invariants the WAL design
-// promises:
+// Crash matrix (DESIGN.md §8): every durability fault point ×
+// {per-document Loader::load, corpus BulkLoader jobs=1 and jobs=4},
+// asserting the two recovery invariants the WAL design promises:
 //
 //   1. no silent data loss — everything the loader reported committed is
 //      there again after reopening the data directory;
@@ -67,8 +67,8 @@ long appends_per_doc() {
     return per;
 }
 
-/// Points that can interrupt a serial durable load, with countdowns that
-/// land strictly inside the corpus (after some work is already staged).
+/// Points that can interrupt per-document durable loads, with countdowns
+/// that land strictly inside the run (after some work already committed).
 struct CrashPoint {
     const char* point;
     long countdown;
@@ -101,48 +101,54 @@ std::vector<CrashPoint> bulk_points() {
 // -- in-process matrix -------------------------------------------------------
 
 TEST(CrashMatrix, SerialFaultsRecoverToPostRollbackState) {
+    // One Loader::load per document: the fault interrupts one document,
+    // whose unit rolls back to exactly the state before it; the documents
+    // after it still commit.  wal.append is the interesting point: the
+    // failure happens in the logging itself, mid-unit, and the unit's
+    // rollback must keep memory and log agreed for the later commits.
     for (const auto& p : serial_points()) {
         test::TempDir dir;
-        std::vector<std::string> after_rollback;
+        std::vector<std::string> in_memory;
+        std::size_t failed = 0;
         {
             test::DurableStack stack(gen::paper_dtd(), dir.path());
-            ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
-            auto committed = test::db_fingerprint(stack.db);
+            ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
             ArmedFault armed(p.point, p.countdown);
-            EXPECT_THROW(
-                stack.loader->load_texts({article(2), article(3), article(4)},
-                                         {}),
-                fault::InjectedFault)
-                << p.point;
+            for (int i = 2; i < 6; ++i) {
+                auto before = test::db_fingerprint(stack.db);
+                try {
+                    auto doc = xml::parse_document(article(i));
+                    stack.loader->load(*doc);
+                } catch (const fault::InjectedFault&) {
+                    ++failed;
+                    fault::disarm();
+                    EXPECT_EQ(test::db_fingerprint(stack.db), before)
+                        << p.point << " doc " << i;
+                }
+            }
             fault::disarm();
-            after_rollback = test::db_fingerprint(stack.db);
-            // Fail-fast: the rollback restored the committed baseline.
-            EXPECT_EQ(after_rollback, committed) << p.point;
+            in_memory = test::db_fingerprint(stack.db);
         }
+        EXPECT_EQ(failed, 1u) << p.point;
         test::DurableStack recovered(gen::paper_dtd(), dir.path());
-        EXPECT_EQ(test::db_fingerprint(recovered.db), after_rollback)
-            << p.point;
+        EXPECT_EQ(test::db_fingerprint(recovered.db), in_memory) << p.point;
     }
 }
 
-TEST(CrashMatrix, SerialSkipPolicyCommitsSurvivorsDurably) {
+TEST(CrashMatrix, SkipPolicyCommitsSurvivorsDurably) {
     // The fault consumes one document; the others commit and must be on
-    // disk.  wal.append is the interesting point: the failure happens in
-    // the logging itself, mid-unit, and the unit's rollback must keep
-    // memory and log agreed.
+    // disk.
     for (const auto& p :
-         {CrashPoint{"loader.shred", 8},
-          CrashPoint{"wal.append", appends_per_doc() + appends_per_doc() / 2}}) {
+         {CrashPoint{"xml.parse", 2}, CrashPoint{"loader.shred", 8}}) {
         test::TempDir dir;
         std::vector<std::string> in_memory;
         std::size_t loaded = 0;
         {
             test::DurableStack stack(gen::paper_dtd(), dir.path());
-            loader::LoadOptions options;
-            options.on_error = loader::FailurePolicy::kSkip;
             ArmedFault armed(p.point, p.countdown);
-            loader::LoadReport report =
-                stack.loader->load_texts(corpus(4), options);
+            loader::LoadReport report = test::load_texts(
+                stack, corpus(4),
+                test::corpus_options(loader::FailurePolicy::kSkip));
             fault::disarm();
             EXPECT_EQ(report.failed, 1u) << p.point;
             loaded = report.loaded;

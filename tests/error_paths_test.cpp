@@ -140,19 +140,32 @@ TEST(LoaderErrors, MidDocumentFailureRollsBackPartialRows) {
 TEST(LoaderErrors, FailFastCorpusLoadIsAtomic) {
     Stack stack(gen::paper_dtd());
     auto before = test::db_fingerprint(stack.db);
-    loader::LoadOptions options;  // on_error defaults to kFailFast
-    EXPECT_THROW(stack.loader->load_texts(mixed_corpus(), options), Error);
+    loader::BulkLoader bulk(stack.logical, stack.mapping, stack.schema,
+                            stack.db);
+    // on_error defaults to kFailFast
+    EXPECT_THROW(bulk.load_texts(mixed_corpus(), test::corpus_options()),
+                 Error);
     EXPECT_EQ(test::db_fingerprint(stack.db), before);
-    EXPECT_EQ(stack.loader->stats().documents, 0u);
+    EXPECT_EQ(bulk.stats().documents, 0u);
+}
+
+/// The reference for "as if only the good documents were submitted": one
+/// Loader::load per document.
+void load_each(Stack& stack, const std::vector<std::string>& texts) {
+    for (const auto& text : texts) {
+        auto doc = xml::parse_document(text);
+        stack.loader->load(*doc);
+    }
 }
 
 TEST(LoaderErrors, SkipPolicyMatchesGoodOnlyLoadByteForByte) {
     std::vector<std::string> corpus = mixed_corpus();
 
     Stack mixed(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
-    loader::LoadReport report = mixed.loader->load_texts(corpus, options);
+    loader::BulkLoader bulk(mixed.logical, mixed.mapping, mixed.schema,
+                            mixed.db);
+    loader::LoadReport report = bulk.load_texts(
+        corpus, test::corpus_options(loader::FailurePolicy::kSkip));
     EXPECT_EQ(report.attempted, 5u);
     EXPECT_EQ(report.loaded, 2u);
     EXPECT_EQ(report.failed, 3u);
@@ -167,24 +180,22 @@ TEST(LoaderErrors, SkipPolicyMatchesGoodOnlyLoadByteForByte) {
     EXPECT_EQ(report.errors.size(), 3u);
 
     Stack good(gen::paper_dtd());
-    loader::LoadReport good_report =
-        good.loader->load_texts(good_only(corpus, {0, 3}), {});
-    EXPECT_TRUE(good_report.ok());
+    load_each(good, good_only(corpus, {0, 3}));
     EXPECT_EQ(test::db_fingerprint(mixed.db), test::db_fingerprint(good.db));
 
     // The rejected documents left no trace in the loader either: stats
     // match a loader that never saw them.
-    EXPECT_EQ(mixed.loader->stats().documents, 2u);
-    EXPECT_EQ(mixed.loader->stats().elements_visited,
+    EXPECT_EQ(bulk.stats().documents, 2u);
+    EXPECT_EQ(bulk.stats().elements_visited,
               good.loader->stats().elements_visited);
 }
 
 TEST(LoaderErrors, QuarantinePolicyRecordsRejectedDocuments) {
     std::vector<std::string> corpus = mixed_corpus();
     Stack stack(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kQuarantine;
-    loader::LoadReport report = stack.loader->load_texts(corpus, options);
+    loader::LoadReport report = test::load_texts(
+        stack, corpus,
+        test::corpus_options(loader::FailurePolicy::kQuarantine));
     EXPECT_EQ(report.loaded, 2u);
     EXPECT_EQ(report.quarantined, 3u);
 
@@ -202,7 +213,7 @@ TEST(LoaderErrors, QuarantinePolicyRecordsRejectedDocuments) {
 
     // Everything except the quarantine table matches the good-only load.
     Stack good(gen::paper_dtd());
-    good.loader->load_texts(good_only(corpus, {0, 3}), {});
+    load_each(good, good_only(corpus, {0, 3}));
     std::vector<std::string> data_rows;
     for (const auto& line : test::db_fingerprint(stack.db))
         if (line.rfind(loader::kQuarantineTable, 0) != 0)
@@ -214,9 +225,8 @@ TEST(LoaderErrors, AllFailingCorpusIsANoOp) {
     Stack stack(gen::paper_dtd());
     auto before = test::db_fingerprint(stack.db);
     std::vector<std::string> corpus = {mixed_corpus()[1], mixed_corpus()[2]};
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
-    loader::LoadReport report = stack.loader->load_texts(corpus, options);
+    loader::LoadReport report = test::load_texts(
+        stack, corpus, test::corpus_options(loader::FailurePolicy::kSkip));
     EXPECT_EQ(report.loaded, 0u);
     EXPECT_EQ(report.failed, 2u);
     EXPECT_EQ(test::db_fingerprint(stack.db), before);
@@ -257,16 +267,18 @@ TEST(QueryErrors, TranslatorNamesTheUntranslatablePiece) {
     } catch (const QueryError& e) {
         EXPECT_NE(std::string(e.what()).find("ghost"), std::string::npos);
     }
-    // Without the structural index an ancestor predicate is untranslatable,
-    // and the error says which machinery is missing.
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
+    // Over a schema mapped without structural labels an ancestor predicate
+    // is untranslatable, and the error says which machinery is missing.
+    rel::TranslateOptions no_labels;
+    no_labels.structural_labels = false;
+    rel::RelationalSchema unlabelled = rel::translate(stack.mapping, no_labels);
+    xquery::SqlTranslator plain(stack.mapping, unlabelled);
     try {
-        (void)tr.translate(
-            xquery::parse_query("/article/author[ancestor::article]"), legacy);
+        (void)plain.translate(
+            xquery::parse_query("/article/author[ancestor::article]"));
         FAIL();
     } catch (const QueryError& e) {
-        EXPECT_NE(std::string(e.what()).find("structural index"),
+        EXPECT_NE(std::string(e.what()).find("structural (pre, post) labels"),
                   std::string::npos);
     }
 }

@@ -104,18 +104,22 @@ TEST(FaultInjection, KnownPointsCatalogueIsSortedAndArmable) {
 
 TEST(FaultInjection, InjectedFaultIsClassifiedRetryable) {
     test::Stack stack(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
     ArmedFault armed("loader.shred");
-    loader::LoadReport report =
-        stack.loader->load_texts({article(0)}, options);
+    loader::LoadReport report = test::load_texts(
+        stack, {article(0)},
+        test::corpus_options(loader::FailurePolicy::kSkip));
     ASSERT_EQ(report.failed, 1u);
     EXPECT_EQ(report.retryable, 1u);
     EXPECT_EQ(report.outcomes[0].error_type, "fault");
     EXPECT_TRUE(report.outcomes[0].retryable);
 }
 
-// -- serial loader matrix ----------------------------------------------------
+// -- one-job corpus matrix ---------------------------------------------------
+//
+// BulkLoader with jobs = 1 and validation on (test::load_texts): documents
+// fail in a known order, so each test names the failing document.  The
+// reference for "as if the failed document was never submitted" is one
+// Loader::load per surviving document.
 
 /// loader.shred hits per article(): fires once per load_element call, and
 /// how many of the article's elements get their own call depends on the
@@ -124,7 +128,7 @@ long shred_hits_per_doc() {
     static long hits = [] {
         test::Stack probe(gen::paper_dtd());
         fault::arm("loader.shred", 1 << 30);  // count without firing
-        probe.loader->load_texts({article(0)}, {});
+        test::load_texts(probe, {article(0)});
         long h = fault::hits();
         fault::disarm();
         return h;
@@ -132,7 +136,7 @@ long shred_hits_per_doc() {
     return hits;
 }
 
-struct SerialPoint {
+struct DocPoint {
     const char* point;
     long countdown;
     std::size_t failing_index;
@@ -141,7 +145,7 @@ struct SerialPoint {
 /// Countdowns landing inside document 1: the other documents survive.
 /// The shred countdown deliberately lands mid-document, after some of
 /// document 1's rows are already written.
-std::vector<SerialPoint> serial_doc_points() {
+std::vector<DocPoint> doc_points() {
     long per_doc = shred_hits_per_doc();
     return {
         {"xml.parse", 2, 1},  // parse of document 1
@@ -149,28 +153,26 @@ std::vector<SerialPoint> serial_doc_points() {
     };
 }
 
-TEST(FaultInjection, SerialFailFastLeavesDatabaseUntouched) {
-    for (const auto& p : serial_doc_points()) {
+TEST(FaultInjection, OneJobFailFastLeavesDatabaseUntouched) {
+    for (const auto& p : doc_points()) {
         test::Stack stack(gen::paper_dtd());
         auto before = test::db_fingerprint(stack.db);
         ArmedFault armed(p.point, p.countdown);
-        EXPECT_THROW(stack.loader->load_texts(corpus(5), {}),
+        EXPECT_THROW(test::load_texts(stack, corpus(5)),
                      fault::InjectedFault)
             << p.point;
         EXPECT_TRUE(fault::fired()) << p.point;
         EXPECT_EQ(test::db_fingerprint(stack.db), before) << p.point;
-        EXPECT_EQ(stack.loader->stats().documents, 0u);
     }
 }
 
-TEST(FaultInjection, SerialSkipMatchesGoodOnlyLoadByteForByte) {
-    for (const auto& p : serial_doc_points()) {
+TEST(FaultInjection, OneJobSkipMatchesGoodOnlyLoadByteForByte) {
+    for (const auto& p : doc_points()) {
         test::Stack stack(gen::paper_dtd());
-        loader::LoadOptions options;
-        options.on_error = loader::FailurePolicy::kSkip;
         ArmedFault armed(p.point, p.countdown);
-        loader::LoadReport report =
-            stack.loader->load_texts(corpus(5), options);
+        loader::LoadReport report = test::load_texts(
+            stack, corpus(5),
+            test::corpus_options(loader::FailurePolicy::kSkip));
         fault::disarm();
         EXPECT_EQ(report.loaded, 4u) << p.point;
         ASSERT_EQ(report.failed, 1u) << p.point;
@@ -179,19 +181,22 @@ TEST(FaultInjection, SerialSkipMatchesGoodOnlyLoadByteForByte) {
         std::vector<std::string> good = corpus(5);
         good.erase(good.begin() + static_cast<std::ptrdiff_t>(p.failing_index));
         test::Stack reference(gen::paper_dtd());
-        reference.loader->load_texts(good, {});
+        for (const auto& text : good) {
+            auto doc = xml::parse_document(text);
+            reference.loader->load(*doc);
+        }
         EXPECT_EQ(test::db_fingerprint(stack.db),
                   test::db_fingerprint(reference.db))
             << p.point;
     }
 }
 
-TEST(FaultInjection, SerialQuarantineKeepsFaultedDocumentText) {
+TEST(FaultInjection, OneJobQuarantineKeepsFaultedDocumentText) {
     test::Stack stack(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kQuarantine;
     ArmedFault armed("loader.shred", shred_hits_per_doc() + 1);
-    loader::LoadReport report = stack.loader->load_texts(corpus(3), options);
+    loader::LoadReport report = test::load_texts(
+        stack, corpus(3),
+        test::corpus_options(loader::FailurePolicy::kQuarantine));
     fault::disarm();
     EXPECT_EQ(report.quarantined, 1u);
     const rdb::Table* q = stack.db.table(loader::kQuarantineTable);
@@ -211,11 +216,10 @@ TEST(FaultInjection, QuarantineRowsSurviveRestart) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        loader::LoadOptions options;
-        options.on_error = loader::FailurePolicy::kQuarantine;
         ArmedFault armed("loader.shred", shred_hits_per_doc() + 1);
-        loader::LoadReport report =
-            stack.loader->load_texts(corpus(3), options);
+        loader::LoadReport report = test::load_texts(
+            stack, corpus(3),
+            test::corpus_options(loader::FailurePolicy::kQuarantine));
         fault::disarm();
         ASSERT_EQ(report.quarantined, 1u);
     }
@@ -233,7 +237,7 @@ TEST(FaultInjection, QuarantineRowsSurviveRestart) {
     }
 }
 
-TEST(FaultInjection, SerialResolveFaultRollsBackWholeCorpus) {
+TEST(FaultInjection, OneJobResolveFaultRollsBackWholeCorpus) {
     // Reference resolution is corpus-scoped: a fault there aborts the
     // load under every policy, undoing the in-place row updates the
     // resolver already made.
@@ -242,11 +246,10 @@ TEST(FaultInjection, SerialResolveFaultRollsBackWholeCorpus) {
                         loader::FailurePolicy::kQuarantine}) {
         test::Stack stack(gen::paper_dtd());
         auto before = test::db_fingerprint(stack.db);
-        loader::LoadOptions options;
-        options.on_error = policy;
         ArmedFault armed("loader.resolve", 2);  // after one row resolved
-        EXPECT_THROW(stack.loader->load_texts(corpus(4), options),
-                     fault::InjectedFault);
+        EXPECT_THROW(
+            test::load_texts(stack, corpus(4), test::corpus_options(policy)),
+            fault::InjectedFault);
         fault::disarm();
         EXPECT_EQ(test::db_fingerprint(stack.db), before);
     }

@@ -11,6 +11,7 @@
 
 #include "dtd/parser.hpp"
 #include "gen/corpora.hpp"
+#include "loader/bulk_loader.hpp"
 #include "loader/loader.hpp"
 #include "mapping/pipeline.hpp"
 #include "rel/materialize.hpp"
@@ -104,6 +105,27 @@ struct DurableStack {
         loader = std::make_unique<loader::Loader>(logical, mapping, schema, db);
     }
 };
+
+/// Options for a corpus load through the one corpus path: BulkLoader run
+/// inline (jobs = 1) with DTD validation on, as Loader::load validates.
+inline loader::BulkLoadOptions corpus_options(
+    loader::FailurePolicy on_error = loader::FailurePolicy::kFailFast) {
+    loader::BulkLoadOptions options;
+    options.jobs = 1;
+    options.validate = true;
+    options.on_error = on_error;
+    return options;
+}
+
+/// Load a corpus of XML texts into a Stack's or DurableStack's database.
+template <class AnyStack>
+loader::LoadReport load_texts(
+    AnyStack& stack, const std::vector<std::string>& texts,
+    const loader::BulkLoadOptions& options = corpus_options()) {
+    loader::BulkLoader bulk(stack.logical, stack.mapping, stack.schema,
+                            stack.db);
+    return bulk.load_texts(texts, options);
+}
 
 /// Every cell of every table in physical order — the byte-identical
 /// database comparison the atomicity tests rely on.  Restored pk counters

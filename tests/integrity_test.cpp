@@ -148,7 +148,7 @@ TEST(Integrity, CorruptionErrorCarriesContext) {
 
 TEST(Integrity, VerifyCleanOnLoadedCorpus) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(5), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(5)).ok());
     rdb::IntegrityReport report = stack.db.verify();
     EXPECT_TRUE(report.clean()) << report.to_string();
     EXPECT_EQ(report.docs_checked, 5u);
@@ -167,7 +167,7 @@ TEST(Integrity, VerifyCleanAfterRecovery) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     }
     test::DurableStack reopened(gen::paper_dtd(), dir.path());
     rdb::IntegrityReport report = reopened.db.verify();
@@ -199,7 +199,7 @@ TEST(Integrity, VerifyRunsConcurrentlyWithWriters) {
 
 TEST(Integrity, VerifyFlagsOrphanedDocRows) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
     // Deregister the first document while its rows stay behind.
     rdb::Table* docs = stack.db.table("xrel_docs");
     ASSERT_NE(docs, nullptr);
@@ -216,7 +216,7 @@ TEST(Integrity, VerifyFlagsOrphanedDocRows) {
 
 TEST(Integrity, VerifyFlagsBrokenLabelCoverage) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     // Push one row's pre label outside the document's registered range.
     bool damaged = false;
     for (const auto& name : stack.db.table_names()) {
@@ -240,7 +240,7 @@ TEST(Integrity, VerifyFlagsBrokenLabelCoverage) {
 
 TEST(Integrity, VerifyFlagsDuplicateDocRegistration) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     rdb::Table* docs = stack.db.table("xrel_docs");
     ASSERT_NE(docs, nullptr);
     ASSERT_EQ(docs->row_count(), 1u);
@@ -257,7 +257,7 @@ TEST(Integrity, VerifyFlagsDuplicateDocRegistration) {
 
 TEST(Integrity, SalvageRepairQuarantinesBrokenDocument) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     // Break doc 1's label interval.
     bool damaged = false;
     for (const auto& name : stack.db.table_names()) {
@@ -333,7 +333,7 @@ TEST(Integrity, SnapshotSalvageDropsDamagedSectionAndReports) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(4), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(4)).ok());
         stack.db.checkpoint();
     }
     std::string snap = rdb::snapshot_file(dir.path(), 1);
@@ -373,7 +373,7 @@ TEST(Integrity, MidSegmentWalCorruptionFailsStrictRecovery) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(4), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(4)).ok());
     }
     std::string wal = rdb::wal_file(dir.path(), 0);
     ASSERT_GT(fs::file_size(wal), 64u);
@@ -439,7 +439,7 @@ TEST(Integrity, FailedCheckpointVerificationLeavesOldChainAuthoritative) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         expected = test::db_fingerprint(stack.db);
         ArmedFault armed("snapshot.verify");
         EXPECT_THROW(stack.db.checkpoint(), fault::InjectedFault);
@@ -468,7 +468,7 @@ TEST(Integrity, SnapshotFuzzStrictNeverCrashesOrMisreads) {
     std::vector<std::string> baseline;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
         stack.db.checkpoint();
         baseline = test::db_fingerprint(stack.db);
     }
@@ -510,7 +510,7 @@ TEST(Integrity, WalFuzzSalvageAlwaysYieldsVerifiablyCleanState) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     }
     std::string pristine = read_file(rdb::wal_file(dir.path(), 0));
     ASSERT_FALSE(pristine.empty());

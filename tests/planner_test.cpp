@@ -353,14 +353,13 @@ TEST(PlannerCache, TranslationCacheKeyedByEpoch) {
     xquery::SqlTranslator translator(stack.mapping, stack.schema);
     xquery::TranslationCache cache(translator, 8);
     xquery::PathQuery q = xquery::parse_query("/article/author");
-    xquery::TranslateOptions opts;
 
-    (void)cache.get(q, opts, 0);
-    (void)cache.get(q, opts, 0);
+    (void)cache.get(q, 0);
+    (void)cache.get(q, 0);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     // A bumped epoch must miss — stale plan shapes age out of the LRU.
-    (void)cache.get(q, opts, 1);
+    (void)cache.get(q, 1);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.size(), 2u);
 }

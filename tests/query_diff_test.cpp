@@ -10,11 +10,9 @@
 // counted; the paper documents those limitations (positional predicates,
 // wildcards).
 //
-// Descendant ('//') steps and [ancestor::name] predicates get a THREE-way
-// oracle: the structural interval plan (DESIGN.md §10), the DOM, and —
-// when it exists — the legacy join-chain expansion, each required to
-// agree.  Legacy legs that are untranslatable (ambiguous chains) are
-// fine; the interval plan is the one that must always work.  A sampled
+// Descendant ('//') steps and [ancestor::name] predicates translate to the
+// structural interval plan (DESIGN.md §10), the only SQL translation of
+// '//'; the DOM evaluator is its independent oracle.  A sampled
 // planner-off leg re-executes queries with the cost-based join reorder
 // (DESIGN.md §13) disabled, so planned and as-written orders are both
 // held to the DOM's answer.
@@ -309,7 +307,6 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
     std::uint64_t skipped = 0;
     std::uint64_t attempts = 0;
     std::uint64_t interval_plans = 0;
-    std::uint64_t legacy_runs = 0;
     std::uint64_t planner_off_runs = 0;
     while (compared < target) {
         ASSERT_LT(attempts, target * 20)
@@ -347,27 +344,11 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
         // Halfway through, rebuild one world's statistics: the epoch bump
         // must re-key cached plans, never corrupt in-flight serving.
         if (compared == target / 2) w.stack->db.analyze();
-        if (!t.interval_plan) continue;
-        // Third leg: the legacy join-chain expansion, when one exists,
-        // must agree with the interval plan (and hence with the DOM).
-        ++interval_plans;
-        w.service->set_struct_index(false);
-        try {
-            Translation legacy = w.service->translate(text);
-            EXPECT_FALSE(legacy.interval_plan) << text;
-            query::QueryService::Result legacy_rs = w.service->path(text);
-            ++legacy_runs;
-            expect_agreement(w.views, text, legacy, *legacy_rs);
-        } catch (const QueryError&) {
-            // No unique chain (or an ancestor predicate) — DOM-only there.
-        }
-        w.service->set_struct_index(true);
-        if (::testing::Test::HasFailure()) break;
+        if (t.interval_plan) ++interval_plans;
     }
     EXPECT_GE(compared, target);
     // The '//' / [ancestor::] generation must actually exercise interval
-    // plans, and a healthy share must also have a legacy expansion so the
-    // three-way oracle has teeth.
+    // plans, so the DOM oracle has teeth there.
     EXPECT_GT(interval_plans, target / 20);
     // Generation walks real content-model edges, so most queries must
     // translate; a skip-dominated run means the generator regressed.
@@ -375,8 +356,7 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
         << compared << " compared vs " << skipped << " skipped";
     EXPECT_GT(planner_off_runs, 0u);
     std::cout << "[query-diff] " << compared << " agreements ("
-              << interval_plans << " interval plans, " << legacy_runs
-              << " with a legacy leg, " << planner_off_runs
+              << interval_plans << " interval plans, " << planner_off_runs
               << " planner-off), " << skipped
               << " untranslatable (skipped), across " << worlds.size()
               << " random DTDs\n";
@@ -385,7 +365,7 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
     // check the serving layer actually sat in the compared path.
     std::uint64_t served = 0;
     for (const auto& w : worlds) served += w->service->stats().path_queries;
-    EXPECT_EQ(served, compared + legacy_runs + planner_off_runs);
+    EXPECT_EQ(served, compared + planner_off_runs);
 }
 
 // MVCC churn leg (DESIGN.md §15): the differential oracle must hold

@@ -1,9 +1,13 @@
 // SQL subsystem: lexer, parser, executor semantics, join strategies.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "sql/executor.hpp"
 #include "sql/lexer.hpp"
 #include "sql/parser.hpp"
+#include "sql/planner.hpp"
 
 namespace xr::sql {
 namespace {
@@ -102,6 +106,37 @@ TEST_F(SqlFixture, NullSemanticsInWhere) {
     EXPECT_EQ(q("SELECT name FROM emp WHERE dept <> 1").row_count(), 2u);
     EXPECT_EQ(q("SELECT name FROM emp WHERE dept IS NULL").row_count(), 1u);
     EXPECT_EQ(q("SELECT name FROM emp WHERE dept IS NOT NULL").row_count(), 4u);
+}
+
+// NOT / AND / OR are three-valued with NULL as UNKNOWN, and WHERE keeps
+// only TRUE rows: on a ∈ {1, 2, NULL}, NOT (a = 1) is UNKNOWN for the
+// NULL row, so it matches just a = 2 — the same as a <> 1.
+TEST(SqlThreeValuedLogic, NotAndOrOverNull) {
+    rdb::Database db;
+    execute(db, "CREATE TABLE t (pk INTEGER PRIMARY KEY, a INTEGER)");
+    execute(db, "INSERT INTO t (a) VALUES (1), (2), (NULL)");
+    const std::pair<const char*, std::size_t> cases[] = {
+        {"NOT (a = 1)", 1},
+        {"a <> 1", 1},
+        {"NOT (a = 1 AND pk > 0)", 1},
+        {"NOT (a = 1 OR a = 2)", 0},
+        {"a = 1 OR a = 2", 2},
+        // UNKNOWN OR TRUE is TRUE; UNKNOWN AND FALSE is FALSE, so its
+        // negation is TRUE for every row.
+        {"a = 1 OR pk > 0", 3},
+        {"NOT (a = 1 AND pk < 0)", 3},
+        {"NOT (NOT (a = 1))", 1},
+        {"(a = 1) IS NULL", 1},
+    };
+    for (bool planner : {true, false}) {
+        PlannerOptions popts;
+        popts.enable = planner;
+        for (const auto& [where, rows] : cases) {
+            std::string sql = std::string("SELECT pk FROM t WHERE ") + where;
+            EXPECT_EQ(execute(db, sql, nullptr, {}, &popts).row_count(), rows)
+                << sql << " (planner " << planner << ")";
+        }
+    }
 }
 
 TEST_F(SqlFixture, Arithmetic) {

@@ -1,8 +1,8 @@
 // Structural interval indexing (DESIGN.md §10): Dietz (pre, post, level)
 // label assignment, the ordered pre index and its range scans, interval
-// plan selection and the legacy fallback, label equivalence between the
-// serial and bulk loaders, gap tolerance across fault paths, and label /
-// index survival through snapshot + WAL recovery.
+// plan selection, label equivalence between per-document and bulk loads,
+// gap tolerance across fault paths, and label / index survival through
+// snapshot + WAL recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,8 +118,9 @@ TEST(StructIndex, BulkLoadMatchesSerialLabelsExactly) {
     std::vector<std::string> texts;
     for (auto& doc : corpus) texts.push_back(xml::serialize(*doc));
 
+    // Serial reference: one Loader::load per document.
     Stack serial(gen::paper_dtd());
-    serial.loader->load_texts(texts, {});
+    for (auto& doc : corpus) serial.loader->load(*doc);
 
     Stack bulk(gen::paper_dtd());
     loader::BulkLoader bulk_loader(bulk.logical, bulk.mapping, bulk.schema,
@@ -130,7 +131,7 @@ TEST(StructIndex, BulkLoadMatchesSerialLabelsExactly) {
 
     // Same corpus → identical label geometry, regardless of worker
     // interleaving (bulk merge shifts per-document labels to the same
-    // dense bases the serial loader would have assigned).
+    // dense bases the per-document loads assigned).
     std::vector<Interval> a = collect_intervals(serial);
     std::vector<Interval> b = collect_intervals(bulk);
     ASSERT_EQ(a.size(), b.size());
@@ -178,20 +179,13 @@ TEST(StructIndex, DescendantPicksIntervalPlanWhenLabelsExist) {
     EXPECT_NE(t.sql.find(".pre"), std::string::npos) << t.sql;
     EXPECT_NE(t.plan_notes.find("interval"), std::string::npos);
 
-    // The legacy expansion unrolls the same step into the navigational
-    // chain; both must agree with each other and with the DOM.
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
-    xquery::Translation lt =
-        tr.translate(xquery::parse_query("/article//author"), legacy);
-    EXPECT_FALSE(lt.interval_plan);
-    EXPECT_GT(lt.join_count, t.join_count);
-
-    std::size_t dom = xquery::evaluate(views, xquery::parse_query(
-                                                  "/article//author"))
-                          .size();
-    EXPECT_EQ(sql::execute(stack.db, t.sql).row_count(), dom);
-    EXPECT_EQ(sql::execute(stack.db, lt.sql).row_count(), dom);
+    // Both plans agree with the DOM.
+    for (const auto& [plan, text] :
+         {std::pair{&root, "//author"}, std::pair{&t, "/article//author"}}) {
+        std::size_t dom =
+            xquery::evaluate(views, xquery::parse_query(text)).size();
+        EXPECT_EQ(sql::execute(stack.db, plan->sql).row_count(), dom) << text;
+    }
 }
 
 TEST(StructIndex, AncestorPredicateTranslatesViaIntervals) {
@@ -208,16 +202,16 @@ TEST(StructIndex, AncestorPredicateTranslatesViaIntervals) {
     EXPECT_TRUE(t.interval_plan);
     EXPECT_EQ(sql::execute(stack.db, t.sql).row_count(),
               xquery::evaluate(views, q).size());
-
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
-    EXPECT_THROW(tr.translate(q, legacy), QueryError);
 }
 
-TEST(StructIndex, ServiceToggleSwitchesPlansAndCountsRangeScans) {
+TEST(StructIndex, ServicePathsUseIntervalPlansAndCountRangeScans) {
     Stack stack(gen::paper_dtd());
     auto corpus = gen::bibliography_corpus(6, 120, 37);
-    for (auto& doc : corpus) stack.loader->load(*doc);
+    std::vector<const xml::Document*> views;
+    for (auto& doc : corpus) {
+        stack.loader->load(*doc);
+        views.push_back(doc.get());
+    }
 
     query::ServiceOptions sopts;
     sopts.threads = 1;
@@ -228,17 +222,13 @@ TEST(StructIndex, ServiceToggleSwitchesPlansAndCountsRangeScans) {
     EXPECT_TRUE(t.interval_plan);
     auto rs = service.path("/article//author");
     EXPECT_GT(service.stats().exec.range_scans.load(), 0u);
+    EXPECT_EQ(rs->row_count(),
+              xquery::evaluate(views, xquery::parse_query("/article//author"))
+                  .size());
 
-    service.set_struct_index(false);
-    EXPECT_FALSE(service.struct_index());
-    xquery::Translation lt = service.translate("/article//author");
-    EXPECT_FALSE(lt.interval_plan);
-    EXPECT_NE(lt.sql, t.sql);
-    EXPECT_EQ(service.path("/article//author")->row_count(), rs->row_count());
-
-    // Flipping back serves the interval plan again (distinct cache keys).
-    service.set_struct_index(true);
-    EXPECT_TRUE(service.translate("/article//author").interval_plan);
+    // The plan cache serves the same interval plan again.
+    EXPECT_EQ(service.translate("/article//author").sql, t.sql);
+    EXPECT_GT(service.stats().plan_cache.hits, 0u);
 }
 
 // -- fault paths -------------------------------------------------------------
@@ -251,10 +241,9 @@ TEST(StructIndex, SkippedDocumentsLeaveHarmlessLabelGaps) {
                "\"><name><lastname>L" + i +
                "</lastname></name></author></article>";
     };
-    loader::LoadOptions opts;
-    opts.on_error = loader::FailurePolicy::kSkip;
-    loader::LoadReport report = stack.loader->load_texts(
-        {make(0), "<article><broken", make(1), "<nope/>", make(2)}, opts);
+    loader::LoadReport report = test::load_texts(
+        stack, {make(0), "<article><broken", make(1), "<nope/>", make(2)},
+        test::corpus_options(loader::FailurePolicy::kSkip));
     EXPECT_EQ(report.loaded, 3u);
     EXPECT_EQ(report.failed, 2u);
 
@@ -266,7 +255,7 @@ TEST(StructIndex, SkippedDocumentsLeaveHarmlessLabelGaps) {
     EXPECT_EQ(sql::execute(stack.db, t.sql).scalar().as_integer(), 3);
 
     // A later load continues past the gaps without colliding.
-    ASSERT_NO_THROW(stack.loader->load_texts({make(3)}, {}));
+    ASSERT_NO_THROW(test::load_texts(stack, {make(3)}));
     expect_proper_nesting(collect_intervals(stack));
     EXPECT_EQ(
         sql::execute(stack.db,
@@ -290,9 +279,9 @@ TEST(StructIndex, LabelsAndOrderedIndexSurviveSnapshotAndWalReplay) {
         DurableStack stack(gen::paper_dtd(), dir.path());
         // Half the corpus into the snapshot, half into the WAL tail, so
         // recovery exercises both persistence paths.
-        stack.loader->load_texts({texts.begin(), texts.begin() + 3}, {});
+        test::load_texts(stack, {texts.begin(), texts.begin() + 3});
         stack.db.checkpoint();
-        stack.loader->load_texts({texts.begin() + 3, texts.end()}, {});
+        test::load_texts(stack, {texts.begin() + 3, texts.end()});
         before = collect_intervals(stack);
     }
     {
@@ -322,7 +311,7 @@ TEST(StructIndex, LabelsAndOrderedIndexSurviveSnapshotAndWalReplay) {
                                         .sql)
                            .scalar()
                            .as_integer();
-        stack.loader->load_texts({texts.front()}, {});
+        test::load_texts(stack, {texts.front()});
         expect_proper_nesting(collect_intervals(stack));
         EXPECT_GT(sql::execute(stack.db,
                                tr.translate(xquery::parse_query(
