@@ -14,7 +14,8 @@
 // enumeration stays DOM-friendly.  The crossover is the result.
 // The cold-path section times descendant ('//') queries with every cache
 // disabled: the structural-index interval plans, cold (parse + translate
-// + execute) and warm (execute only).  The serving section answers the
+// + execute) and warm (execute only), beside one child-axis chain whose
+// joins are all index probes.  The serving section answers the
 // follow-on question: what does the relational side buy once queries
 // arrive *concurrently*?  N client threads replay a mixed workload
 // through query::QueryService; the shared result cache turns each
@@ -141,6 +142,8 @@ std::vector<ColdRecord> cold_path_records(Loaded& loaded) {
         "/article//author",
         "/article[title = 'XML RDBMS']//author",
         "count(//name)",
+        // A child-axis chain: no interval plan, every join an index probe.
+        "count(/article/author/name)",
     };
     xquery::SqlTranslator translator(loaded.stack.mapping,
                                      loaded.stack.schema);

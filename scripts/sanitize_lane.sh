@@ -4,11 +4,15 @@
 # ASan lane (default): the bulk-load pipeline, the fault-injection matrix,
 # the durability layer (snapshots, WAL, crash recovery), the integrity
 # checker and corruption fuzzers, the structural-index tests, the
-# overload/cancellation lifecycle, the SQL executor's own tests (`sql`:
-# the only tests that reach NOT and three-valued AND/OR over NULL) and a
-# short torture campaign — every code path that handles torn/corrupt
-# input, label arithmetic, predicate evaluation, or mid-query unwinding.  The full suite under ASan is slow; these labels
-# are where the sanitizer earns its keep.
+# overload/cancellation lifecycle, the concurrent serving tests
+# (`concurrency`: cached results are shared_ptrs handed to client threads
+# at admission while eviction and invalidation drop the cache's own
+# reference), the SQL executor's own tests (`sql`: the only tests that
+# reach NOT and three-valued AND/OR over NULL) and a short torture
+# campaign — every code path that handles torn/corrupt input, label
+# arithmetic, predicate evaluation, mid-query unwinding, or result
+# lifetimes across threads.  The full suite under ASan is slow; these
+# labels are where the sanitizer earns its keep.
 #
 # TSan lane (`thread`): the differential query fuzzer, the concurrent
 # serving tests — readers racing loads and checkpoints, the worker pool,
@@ -42,7 +46,7 @@ LANE=${1:-address}
 case "$LANE" in
   address)
     BUILD_DIR=${2:-build-asan}
-    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|sql|torture'
+    LABELS='bulk|fault|durability|integrity|index|overload|concurrency|planner|mvcc|sql|torture'
     # Keep the sanitized torture leg short; scripts/torture.sh owns the
     # long campaign on the plain build.
     XMLREL_TORTURE_ITERS=${XMLREL_TORTURE_ITERS:-10}

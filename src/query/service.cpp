@@ -58,7 +58,7 @@ void QueryService::shutdown() {
     std::lock_guard<std::mutex> guard(shutdown_mu_);
     {
         std::lock_guard<std::mutex> lock(queue_mu_);
-        stopping_ = true;
+        stopping_.store(true, std::memory_order_release);
     }
     queue_cv_.notify_all();
     for (auto& w : workers_) w.join();
@@ -90,30 +90,7 @@ QueryService::Result QueryService::sql(const std::string& text) {
 
 QueryService::Result QueryService::sql(const std::string& text,
                                        const CancelToken& cancel) {
-    sql::Statement stmt = sql::parse(text);
-    if (stmt.kind != sql::Statement::Kind::kSelect) {
-        execute_write(text, cancel);
-        return std::make_shared<const sql::ResultSet>();
-    }
-    sql_queries_.fetch_add(1, std::memory_order_relaxed);
-    cancel.check();  // don't pin a snapshot for an already-dead query
-    sql::PlannerOptions popts;
-    popts.enable = use_planner_.load(std::memory_order_relaxed);
-    rdb::ReadSnapshot snapshot = db_.read_snapshot();
-    // The parsed statement is private to this call, so executing it
-    // directly (instead of re-parsing inside sql::execute) is safe.  The
-    // snapshot's view pins a published DatabaseVersion: the whole
-    // plan+execute runs latch-free against that epoch, concurrent writers
-    // never block it and it never observes their partial state.
-    // Planner-off results get their own cache namespace; the default
-    // (planner-on) keys stay unprefixed so existing entries survive.
-    return run_select(
-        (popts.enable ? "sql:" : "np:sql:") + text,
-        [&] {
-            return sql::execute_select(snapshot.view(), stmt.select,
-                                       &exec_stats_, cancel, &popts);
-        },
-        snapshot);
+    return serve(Kind::kSql, text, cancel);
 }
 
 QueryService::Result QueryService::path(const std::string& text) {
@@ -122,19 +99,71 @@ QueryService::Result QueryService::path(const std::string& text) {
 
 QueryService::Result QueryService::path(const std::string& text,
                                         const CancelToken& cancel) {
-    xquery::Translation t = translate_with(text, cancel);
-    path_queries_.fetch_add(1, std::memory_order_relaxed);
-    cancel.check();
+    return serve(Kind::kPath, text, cancel);
+}
+
+QueryService::Result QueryService::serve(Kind kind, const std::string& text,
+                                         const CancelToken& cancel) {
+    cancel.check();  // a dead query gets no result, cached or not
+    bool planner = this->planner();
+    std::string key = cache_key(kind, planner, text);
+    if (Result hit = lookup_cache(key)) {
+        count_query(kind);
+        return hit;
+    }
+    return execute(kind, text, key, planner, cancel);
+}
+
+void QueryService::count_query(Kind kind) {
+    (kind == Kind::kPath ? path_queries_ : sql_queries_)
+        .fetch_add(1, std::memory_order_relaxed);
+}
+
+std::string QueryService::cache_key(Kind kind, bool planner,
+                                    const std::string& text) {
+    std::string key = planner ? "" : "np:";
+    key += kind == Kind::kPath ? "path:" : "sql:";
+    key += text;
+    return key;
+}
+
+QueryService::Result QueryService::execute(Kind kind, const std::string& text,
+                                           const std::string& key,
+                                           bool planner,
+                                           const CancelToken& cancel) {
     sql::PlannerOptions popts;
-    popts.enable = use_planner_.load(std::memory_order_relaxed);
+    popts.enable = planner;
+    if (kind == Kind::kPath) {
+        xquery::Translation t = translate_with(text, cancel);
+        count_query(kind);
+        cancel.check();
+        rdb::ReadSnapshot snapshot = db_.read_snapshot();
+        return run_select(
+            key,
+            [&] {
+                return sql::execute_read(snapshot.view(), t.sql, &exec_stats_,
+                                         cancel, &popts);
+            },
+            snapshot);
+    }
+    sql::Statement stmt = sql::parse(text);
+    if (stmt.kind != sql::Statement::Kind::kSelect) {
+        execute_write(text, cancel);
+        return std::make_shared<const sql::ResultSet>();
+    }
+    count_query(kind);
+    cancel.check();  // don't pin a snapshot for an already-dead query
     rdb::ReadSnapshot snapshot = db_.read_snapshot();
-    // Keyed by the *normalized* query (embedded in the translated SQL via
-    // the plan cache): textual variants of one query share an entry.
+    // The parsed statement is private to this call, so executing it
+    // directly (instead of re-parsing inside sql::execute) is safe.  The
+    // snapshot's view pins a published DatabaseVersion: the whole
+    // plan+execute runs latch-free against that epoch, concurrent writers
+    // never block it and it never observes their partial state.
     return run_select(
-        (popts.enable ? "path:" : "np:path:") + t.sql,
+        key,
         [&] {
-            return sql::execute_read(snapshot.view(), t.sql, &exec_stats_,
-                                     cancel, &popts);
+            return sql::execute_select(snapshot.view(), stmt.select,
+                                       &exec_stats_, cancel, &popts);
         },
         snapshot);
 }
@@ -156,17 +185,29 @@ xquery::Translation QueryService::translate_with(const std::string& text,
 }
 
 QueryService::Submission QueryService::submit_sql(std::string text) {
-    CancelToken token = make_token(/*force_active=*/true);
-    std::future<Result> future = enqueue(
-        [this, text = std::move(text), token] { return sql(text, token); },
-        token);
-    return Submission(std::move(future), std::move(token));
+    return submit(Kind::kSql, std::move(text));
 }
 
 QueryService::Submission QueryService::submit_path(std::string text) {
+    return submit(Kind::kPath, std::move(text));
+}
+
+QueryService::Submission QueryService::submit(Kind kind, std::string text) {
+    admit();
+    bool planner = this->planner();
+    std::string key = cache_key(kind, planner, text);
+    if (Result hit = lookup_cache(key)) {
+        // Answered at admission: no token, task, queue slot or wakeup.
+        admitted_.fetch_add(1, std::memory_order_relaxed);
+        count_query(kind);
+        std::promise<Result> ready;
+        ready.set_value(std::move(hit));
+        return Submission(ready.get_future(), CancelToken{});
+    }
     CancelToken token = make_token(/*force_active=*/true);
     std::future<Result> future = enqueue(
-        [this, text = std::move(text), token] { return path(text, token); },
+        [this, kind, planner, text = std::move(text), key = std::move(key),
+         token] { return execute(kind, text, key, planner, token); },
         token);
     return Submission(std::move(future), std::move(token));
 }
@@ -208,31 +249,31 @@ void QueryService::execute_write(const std::string& text,
 }
 
 QueryService::Result QueryService::run_select(
-    const std::string& cache_key,
-    const std::function<sql::ResultSet()>& exec,
+    const std::string& key, const std::function<sql::ResultSet()>& exec,
     const rdb::ReadSnapshot& snapshot) {
     bool caching = options_.result_cache_bytes > 0;
     if (caching) {
-        if (Result hit = lookup_cache(cache_key, snapshot.watermark()))
-            return hit;
+        std::lock_guard<std::mutex> lock(cache_mu_);
+        ++cache_stats_.misses;
     }
     Result result = std::make_shared<const sql::ResultSet>(exec());
-    if (caching) insert_cache(cache_key, snapshot.watermark(), result);
+    if (caching) insert_cache(key, snapshot.watermark(), result);
     return result;
 }
 
-QueryService::Result QueryService::lookup_cache(const std::string& key,
-                                                std::uint64_t watermark) {
+QueryService::Result QueryService::lookup_cache(const std::string& key) {
+    if (options_.result_cache_bytes == 0) return nullptr;
+    // Entries are tagged with the watermark of the snapshot they were
+    // computed on, and a commit bumps the watermark before it publishes,
+    // so a tag equal to the current watermark names the current
+    // published version (DESIGN.md §9).
+    std::uint64_t watermark = db_.commit_watermark();
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = cache_index_.find(key);
-    if (it == cache_index_.end()) {
-        ++cache_stats_.misses;
-        return nullptr;
-    }
+    if (it == cache_index_.end()) return nullptr;
     if (it->second->watermark != watermark) {
         // Computed against an older committed state: invalidate lazily.
         ++cache_stats_.invalidated;
-        ++cache_stats_.misses;
         cache_bytes_ -= it->second->bytes;
         lru_.erase(it->second);
         cache_index_.erase(it);
@@ -284,6 +325,25 @@ std::uint64_t QueryService::retry_after_ms(std::size_t depth) const {
     return us / 1000 + 1;
 }
 
+void QueryService::admit() {
+    if (stopping_.load(std::memory_order_acquire))
+        throw ShuttingDown(
+            "query service is shutting down; submission refused");
+    try {
+        fault::maybe_fail("service.admit");
+    } catch (const fault::InjectedFault&) {
+        // Injected admission failure: shed exactly like a full queue so
+        // clients exercise their Overloaded handling.
+        shed_.fetch_add(1, std::memory_order_relaxed);
+        std::size_t depth = 0;
+        {
+            std::lock_guard<std::mutex> lock(queue_mu_);
+            depth = queue_.size();
+        }
+        throw Overloaded(depth, retry_after_ms(depth));
+    }
+}
+
 std::future<QueryService::Result> QueryService::enqueue(
     std::function<Result()> job, const CancelToken& token) {
     // The wrapper runs on a worker: it re-checks the token first (the
@@ -305,17 +365,11 @@ std::future<QueryService::Result> QueryService::enqueue(
     std::future<Result> future = task.get_future();
     {
         std::lock_guard<std::mutex> lock(queue_mu_);
-        if (stopping_)
+        // Re-checked under the lock: a submission racing shutdown() either
+        // enqueues before the stop (and is drained) or is refused.
+        if (stopping_.load(std::memory_order_relaxed))
             throw ShuttingDown(
                 "query service is shutting down; submission refused");
-        try {
-            fault::maybe_fail("service.admit");
-        } catch (const fault::InjectedFault&) {
-            // Injected admission failure: shed exactly like a full queue
-            // so clients exercise their Overloaded handling.
-            shed_.fetch_add(1, std::memory_order_relaxed);
-            throw Overloaded(queue_.size(), retry_after_ms(queue_.size()));
-        }
         if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
             shed_.fetch_add(1, std::memory_order_relaxed);
             throw Overloaded(queue_.size(), retry_after_ms(queue_.size()));

@@ -9,24 +9,29 @@
 //     database version (DESIGN.md §15) named by the commit watermark it
 //     was published at, so a query sees one committed state and takes no
 //     latch, even while loads or checkpoints run;
-//   * translated plans are cached (xquery::TranslationCache) keyed by
-//     normalized path-query text — translation is pure, so plan entries
-//     never go stale;
-//   * result sets are cached under a byte budget, each entry tagged with
-//     the commit watermark it was computed at.  A lookup whose entry
-//     carries an older watermark is an *invalidation*: the entry is
-//     dropped and the query re-executes.  The watermark bumps on every
-//     outermost commit and DDL, so a commit implicitly flushes every
-//     stale result without the writers knowing the cache exists.
+//   * result sets are cached under a byte budget, keyed by the raw query
+//     text ("path:" or "sql:" plus the text, "np:" in front while the
+//     planner is off) and looked up *before* parsing, so a hit costs a
+//     key build and one map probe.  Each entry is tagged with the commit
+//     watermark it was computed at and served only while that is still
+//     the current watermark; an older tag is an *invalidation*: the
+//     entry is dropped and the query re-executes.  The watermark bumps
+//     on every outermost commit and DDL, so a commit implicitly flushes
+//     every stale result without the writers knowing the cache exists;
+//   * on a result-cache miss, translated plans come from
+//     xquery::TranslationCache (keyed by normalized path-query text —
+//     translation is pure, so plan entries never go stale).
 //
 // On top of that sits the overload discipline (DESIGN.md §11): admission
 // control sheds submissions past a bounded queue with a typed Overloaded
-// carrying the observed depth and a retry-after hint; every admitted
-// query gets a CancelToken wound with the service deadline and budgets,
-// which the executor polls cooperatively; submissions return a Submission
-// handle whose destruction cancels an abandoned in-flight query; and
-// writes that hit a transient (injected) failure retry under bounded
-// exponential backoff before surfacing the error.
+// carrying the observed depth and a retry-after hint; a submission whose
+// result is cached is answered at admission on the caller's thread and
+// never takes a queue slot; every queued query gets a CancelToken wound
+// with the service deadline and budgets, which the executor polls
+// cooperatively; submissions return a Submission handle whose
+// destruction cancels an abandoned in-flight query; and writes that hit
+// a transient (injected) failure retry under bounded exponential backoff
+// before surfacing the error.
 //
 // Writes (INSERT / CREATE ...) funnel through execute_write(), which
 // serializes them on an internal mutex and brackets each in a load unit —
@@ -43,11 +48,11 @@
 #include <functional>
 #include <future>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -143,6 +148,8 @@ public:
     /// before collecting the result counts as *abandoning* the query —
     /// the token is cancelled so a queued or in-flight execution unwinds
     /// at its next poll instead of computing a result nobody will read.
+    /// A result-cache hit answered at admission carries an already-ready
+    /// future and an inert token.
     class Submission {
     public:
         Submission() = default;
@@ -191,15 +198,19 @@ public:
     QueryService(const QueryService&) = delete;
     QueryService& operator=(const QueryService&) = delete;
 
-    /// Execute a SELECT synchronously on the caller's thread.  Throws
-    /// xr::Error subclasses on parse/execution failure.  Non-SELECT
+    /// Execute a SELECT synchronously on the caller's thread, answering
+    /// from the result cache when the raw text has a current entry.
+    /// Throws xr::Error subclasses on parse/execution failure.  Non-SELECT
     /// statements are routed to execute_write() (and never cached).
     /// The no-token overload derives a token from the service options
     /// (deadline / budgets); pass an explicit token to override.
     Result sql(const std::string& text);
     Result sql(const std::string& text, const CancelToken& cancel);
 
-    /// Execute a path query (translated to SQL) synchronously.
+    /// Execute a path query (translated to SQL) synchronously.  Results
+    /// are cached by the raw query text, so formatting variants of one
+    /// query are separate entries (they still share one plan-cache
+    /// entry when they miss).
     Result path(const std::string& text);
     Result path(const std::string& text, const CancelToken& cancel);
 
@@ -219,12 +230,16 @@ public:
         return use_planner_.load(std::memory_order_relaxed);
     }
 
-    /// Enqueue for a worker thread.  Admission control applies here:
-    /// throws xr::ShuttingDown after shutdown() began, xr::Overloaded
-    /// when the queue is at max_queue (the exception carries the depth
-    /// and a retry-after hint from the recent average job time).  The
-    /// returned Submission's future carries the result or the exception
-    /// the sync call would have thrown.
+    /// Submit for a worker thread.  Admission control applies to every
+    /// submission: throws xr::ShuttingDown after shutdown() began and
+    /// xr::Overloaded when the `service.admit` fault point fires.  A
+    /// result-cache hit is then answered here, on the caller's thread,
+    /// with an already-ready Submission (no queue slot, never shed by
+    /// max_queue).  A miss is enqueued, or shed with xr::Overloaded when
+    /// the queue is at max_queue (the exception carries the depth and a
+    /// retry-after hint from the recent average job time).  The returned
+    /// Submission's future carries the result or the exception the sync
+    /// call would have thrown.
     Submission submit_sql(std::string text);
     Submission submit_path(std::string text);
 
@@ -250,6 +265,8 @@ public:
     void clear_result_cache();
 
 private:
+    enum class Kind { kSql, kPath };
+
     struct CacheEntry {
         std::string key;
         std::uint64_t watermark = 0;
@@ -274,14 +291,35 @@ private:
     /// need a live token so abandon-cancel works).
     [[nodiscard]] CancelToken make_token(bool force_active) const;
 
-    Result run_select(const std::string& cache_key,
+    /// Result-cache key: the raw text under its kind's prefix, with "np:"
+    /// in front while the planner is off.
+    [[nodiscard]] static std::string cache_key(Kind kind, bool planner,
+                                               const std::string& text);
+    /// The sync entry: a result-cache hit, else execute().
+    Result serve(Kind kind, const std::string& text,
+                 const CancelToken& cancel);
+    /// Count one served query in sql_queries / path_queries.
+    void count_query(Kind kind);
+    /// The cached result of `key` when it was computed at the current
+    /// commit watermark, else nullptr.  Counts hits and invalidations;
+    /// misses are counted where the query executes (run_select).
+    Result lookup_cache(const std::string& key);
+    /// The miss path: translate or parse, pin a snapshot, execute and
+    /// cache (a non-SELECT goes to execute_write instead).  `planner` is
+    /// the mode `key` was built under.
+    Result execute(Kind kind, const std::string& text, const std::string& key,
+                   bool planner, const CancelToken& cancel);
+    Result run_select(const std::string& key,
                       const std::function<sql::ResultSet()>& exec,
                       const rdb::ReadSnapshot& snapshot);
-    Result lookup_cache(const std::string& key, std::uint64_t watermark);
     void insert_cache(const std::string& key, std::uint64_t watermark,
                       const Result& result);
     [[nodiscard]] xquery::Translation translate_with(
         const std::string& text, const CancelToken& cancel);
+    Submission submit(Kind kind, std::string text);
+    /// The admission gates every submission passes, hits included:
+    /// ShuttingDown after shutdown(), the `service.admit` fault point.
+    void admit();
     std::future<Result> enqueue(std::function<Result()> job,
                                 const CancelToken& token);
     [[nodiscard]] std::uint64_t retry_after_ms(std::size_t depth) const;
@@ -295,7 +333,8 @@ private:
     // Result cache (front of lru_ = most recently used).
     mutable std::mutex cache_mu_;
     std::list<CacheEntry> lru_;
-    std::map<std::string, std::list<CacheEntry>::iterator> cache_index_;
+    std::unordered_map<std::string, std::list<CacheEntry>::iterator>
+        cache_index_;
     std::size_t cache_bytes_ = 0;
     ResultCacheStats cache_stats_;
 
@@ -307,7 +346,7 @@ private:
     sql::ExecStats exec_stats_;
 
     // Overload counters (lifecycle classification happens in the job
-    // wrapper; shedding in enqueue).
+    // wrapper; shedding in admit() and enqueue()).
     std::atomic<std::uint64_t> admitted_{0};
     std::atomic<std::uint64_t> shed_{0};
     std::atomic<std::uint64_t> expired_{0};
@@ -320,11 +359,13 @@ private:
 
     // Worker pool.  queue_mu_ also guards the wait ring and high-water
     // mark (both touched only at enqueue/dequeue, which hold it anyway);
-    // mutable so stats() can read them.
+    // mutable so stats() can read them.  stopping_ is written under
+    // queue_mu_ but atomic, so admission can refuse a cache hit without
+    // taking the queue lock.
     mutable std::mutex queue_mu_;
     std::condition_variable queue_cv_;
     std::deque<Job> queue_;
-    bool stopping_ = false;
+    std::atomic<bool> stopping_{false};
     std::size_t queue_high_water_ = 0;
     std::array<std::uint64_t, kQueueWaitRing> wait_ring_{};
     std::size_t wait_ring_pos_ = 0;

@@ -424,26 +424,29 @@ void Table::create_index(std::string_view column, IndexKind kind) {
 }
 
 bool Table::has_index(std::string_view column) const {
-    int i = def_.column_index(column);
+    return has_index(def_.column_index(column));
+}
+
+bool Table::has_index(int column) const {
     for (const auto& idx : indexes_)
-        if (idx.column == i) return true;
+        if (idx.column == column) return true;
     return false;
 }
 
 std::vector<RowId> Table::index_lookup(std::string_view column,
                                        const Value& value) const {
     int i = def_.column_index(column);
-    for (const SecondaryIndex& idx : indexes_) {
-        if (idx.column != i) continue;
-        // Entries of one value enumerate in row-id order.
-        std::vector<RowId> out;
-        for (auto c = idx.tree.lower_bound(IndexProbe{&value, 0});
-             !c.done() && c->key == value; c.next())
-            out.push_back(c->row);
-        return out;
-    }
-    throw SchemaError("no index on '" + def_.name + "." + std::string(column) +
-                      "'");
+    if (!has_index(i))
+        throw SchemaError("no index on '" + def_.name + "." +
+                          std::string(column) + "'");
+    std::vector<RowId> out;
+    index_visit(i, value, [&](RowId id) { out.push_back(id); });
+    return out;
+}
+
+void Table::throw_no_index(int column) const {
+    throw SchemaError("no index on column " + std::to_string(column) +
+                      " of '" + def_.name + "'");
 }
 
 bool Table::has_ordered_index(std::string_view column) const {

@@ -320,6 +320,23 @@ public:
     /// Matching row ids via index; throws SchemaError if not indexed.
     [[nodiscard]] std::vector<RowId> index_lookup(std::string_view column,
                                                   const Value& value) const;
+    /// has_index() by column position.
+    [[nodiscard]] bool has_index(int column) const;
+    /// Call `visit(RowId)` for each row whose column at position `column`
+    /// equals `value`, in row-id order, through that column's secondary
+    /// index.  The allocation-free form of index_lookup() for callers that
+    /// probe once per outer row; throws SchemaError if not indexed.
+    template <class Visit>
+    void index_visit(int column, const Value& value, Visit&& visit) const {
+        for (const SecondaryIndex& idx : indexes_) {
+            if (idx.column != column) continue;
+            for (auto c = idx.tree.lower_bound(IndexProbe{&value, 0});
+                 !c.done() && c->key == value; c.next())
+                visit(c->row);
+            return;
+        }
+        throw_no_index(column);
+    }
     /// True when `column` carries an *ordered* secondary index (range scans).
     [[nodiscard]] bool has_ordered_index(std::string_view column) const;
     /// Row ids whose `column` value lies in the given range, found by
@@ -414,6 +431,8 @@ private:
         IndexKind kind = IndexKind::kHash;
         IndexTree tree;
     };
+
+    [[noreturn]] void throw_no_index(int column) const;
 
     /// Frozen-clone constructor backing publish(): shares chunks and
     /// index trees, snapshots scalar state, drops the mutation log.

@@ -280,6 +280,7 @@ struct Stage {
     const Expr* probe_outer = nullptr;
     int inner_column = -1;
     bool use_index = false;
+    bool probe_pk = false;  ///< use_index via the pk lookup structure
     std::unordered_multimap<Value, RowId, rdb::ValueHash> hash;
     // Literal equality for the driving table (index scan).
     const Expr* driving_eq_literal = nullptr;
@@ -665,21 +666,21 @@ private:
 
         // Prepare access paths.
         Stage& first = stages_[0];
-        if (first.driving_eq_literal != nullptr) {
-            const std::string& col =
-                tables_[0].table->def().columns[first.driving_column].name;
-            first.driving_index = tables_[0].table->has_index(col);
-        }
+        if (first.driving_eq_literal != nullptr)
+            first.driving_index =
+                tables_[0].table->has_index(first.driving_column);
         for (std::size_t s = 1; s < stages_.size(); ++s) {
             Stage& st = stages_[s];
             if (st.probe_outer == nullptr) continue;
             const Table* t = tables_[s].table;
-            const std::string& col = t->def().columns[st.inner_column].name;
             // Prefer the table's own index over an ad-hoc hash; the pk
-            // column's lookup structure counts as an index.
-            if (t->has_index(col) ||
-                t->def().columns[st.inner_column].primary_key) {
+            // column's lookup structure counts as an index.  Resolved
+            // once here, so a probe is one index search by position.
+            if (t->has_index(st.inner_column)) {
                 st.use_index = true;
+            } else if (t->def().columns[st.inner_column].primary_key) {
+                st.use_index = true;
+                st.probe_pk = true;
             } else {
                 for (RowId id = 0; id < t->row_count(); ++id)
                     st.hash.emplace(t->row(id)[st.inner_column], id);
@@ -708,12 +709,9 @@ private:
 
             if (s == 0 && stage.driving_eq_literal != nullptr &&
                 stage.driving_index) {
-                const std::string& col =
-                    t->def().columns[stage.driving_column].name;
                 count(&ExecStats::index_lookups);
-                for (RowId id :
-                     t->index_lookup(col, stage.driving_eq_literal->literal))
-                    accept(id);
+                t->index_visit(stage.driving_column,
+                               stage.driving_eq_literal->literal, accept);
                 return;
             }
 
@@ -721,14 +719,12 @@ private:
                 Value key = eval.eval(*stage.probe_outer, ctx);
                 if (key.is_null()) return;
                 if (stage.use_index) {
-                    const auto& coldef = t->def().columns[stage.inner_column];
                     count(&ExecStats::index_lookups);
-                    if (coldef.primary_key && !t->has_index(coldef.name)) {
+                    if (stage.probe_pk) {
                         if (auto id = t->find_pk_rowid(key.as_integer()))
                             accept(*id);
                     } else {
-                        for (RowId id : t->index_lookup(coldef.name, key))
-                            accept(id);
+                        t->index_visit(stage.inner_column, key, accept);
                     }
                 } else {
                     auto range = stage.hash.equal_range(key);

@@ -7,6 +7,11 @@
 // query text (parse → to_string), so `/a[ x = 'y' ]/b` and
 // `/a[x='y']/b` share one entry.
 //
+// In query::QueryService this cache sees result-cache misses only: the
+// result cache is keyed by raw query text and probed before parsing, so
+// a repeated query answered from it never reaches translation, and the
+// hit ratio here describes first-seen (or invalidated) queries.
+//
 // Thread-safe: a single mutex guards the map, the recency list and the
 // counters.  Translation happens under the lock — it is cheap relative
 // to execution, and doing so keeps a thundering herd of first requests

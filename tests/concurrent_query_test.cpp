@@ -109,7 +109,7 @@ TEST(ConcurrentQuery, CommitInvalidatesCachedResults) {
     EXPECT_EQ(st.result_cache.hits, 1u);
     EXPECT_EQ(st.result_cache.misses, 1u);
     EXPECT_EQ(st.result_cache.invalidated, 0u);
-    EXPECT_EQ(st.plan_cache.hits, 1u);  // same normalized query
+    EXPECT_EQ(st.plan_cache.hits, 0u);  // the hit never reached translation
 
     stack.loader->load(*corpus[1]);  // outermost commit → watermark bump
 
@@ -122,6 +122,145 @@ TEST(ConcurrentQuery, CommitInvalidatesCachedResults) {
     // Unchanged state again serves from cache.
     EXPECT_EQ(count_of(service.path("count(/article)")), after);
     EXPECT_EQ(service.stats().result_cache.hits, 2u);
+}
+
+// The same across submissions: the second submit_path of one text after
+// a commit is a miss with one invalidation, executed by a worker, and
+// returns the new count; the third is answered at admission again.
+TEST(ConcurrentQuery, CommitBetweenSubmissionsInvalidates) {
+    Stack stack(gen::paper_dtd());
+    auto corpus = gen::bibliography_corpus(2, 60, 5);
+    stack.loader->load(*corpus[0]);
+    query::ServiceOptions opts;
+    opts.threads = 1;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
+
+    std::int64_t before = count_of(service.submit_path("count(/article)").get());
+    stack.loader->load(*corpus[1]);
+    std::int64_t after = count_of(service.submit_path("count(/article)").get());
+    EXPECT_EQ(after, before + 1);
+    query::ServiceStats st = service.stats();
+    EXPECT_EQ(st.result_cache.invalidated, 1u);
+    EXPECT_EQ(st.result_cache.misses, 2u);
+    EXPECT_EQ(st.result_cache.hits, 0u);
+
+    EXPECT_EQ(count_of(service.submit_path("count(/article)").get()), after);
+    st = service.stats();
+    EXPECT_EQ(st.result_cache.hits, 1u);
+    EXPECT_EQ(st.result_cache.misses, 2u);
+    EXPECT_EQ(st.path_queries, 3u);
+    EXPECT_EQ(st.overload.admitted, 3u);
+}
+
+// Counting rules: every served query is exactly one hit or one miss,
+// whichever entry point served it; a write through sql() is neither.
+TEST(ConcurrentQuery, EachServedQueryCountsOneHitOrMiss) {
+    Stack stack(gen::paper_dtd());
+    query::ServiceOptions opts;
+    opts.threads = 1;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
+    (void)service.sql("CREATE TABLE kv (k INTEGER PRIMARY KEY, v TEXT)");
+    (void)service.sql("INSERT INTO kv (k, v) VALUES (1, 'a')");
+    query::ServiceStats st = service.stats();
+    EXPECT_EQ(st.result_cache.hits + st.result_cache.misses, 0u);
+    EXPECT_EQ(st.sql_queries, 0u);
+    EXPECT_EQ(st.writes, 2u);
+
+    const std::string q = "SELECT COUNT(*) FROM kv";
+    (void)service.sql(q);                // miss
+    (void)service.sql(q);                // hit
+    (void)service.submit_sql(q).get();   // hit at admission
+    (void)service.submit_path("count(/article)").get();  // miss
+    (void)service.path("count(/article)");               // hit
+    st = service.stats();
+    EXPECT_EQ(st.result_cache.hits, 3u);
+    EXPECT_EQ(st.result_cache.misses, 2u);
+    EXPECT_EQ(st.sql_queries, 3u);
+    EXPECT_EQ(st.path_queries, 2u);
+    EXPECT_EQ(st.overload.admitted, 2u);
+}
+
+// The planner toggle is part of the key at admission too: a submission
+// made with the planner off never hits the planner-on entry of the same
+// text (and vice versa), while each mode hits its own entry.
+TEST(ConcurrentQuery, PlannerOffSubmissionNeverHitsPlannerOnEntry) {
+    Stack stack(gen::paper_dtd());
+    auto corpus = gen::bibliography_corpus(2, 60, 8);
+    for (auto& doc : corpus) stack.loader->load(*doc);
+    query::ServiceOptions opts;
+    opts.threads = 1;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
+
+    const std::string q = "count(/article/author)";
+    std::int64_t on = count_of(service.submit_path(q).get());
+    service.set_planner(false);
+    EXPECT_EQ(count_of(service.submit_path(q).get()), on);
+    EXPECT_EQ(service.stats().result_cache.hits, 0u);
+    EXPECT_EQ(service.stats().result_cache.misses, 2u);
+    EXPECT_EQ(count_of(service.submit_path(q).get()), on);  // np: entry
+    service.set_planner(true);
+    EXPECT_EQ(count_of(service.submit_path(q).get()), on);  // planner-on
+    EXPECT_EQ(service.stats().result_cache.hits, 2u);
+    EXPECT_EQ(service.stats().result_cache.misses, 2u);
+}
+
+// Admission hits racing commits (TSan): a hit is served only at the
+// current watermark, so no result is older than the committed state a
+// client observed before submitting.  The floor is read from a fresh
+// snapshot, which is what a submission's own execution would pin.
+TEST(ConcurrentQuery, AdmissionHitsNeverOlderThanCommittedState) {
+    Stack stack(gen::paper_dtd());
+    auto corpus = gen::bibliography_corpus(24, 40, 31);
+    stack.loader->load(*corpus[0]);
+    query::ServiceOptions opts;
+    opts.threads = 1;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
+
+    auto committed = [&] {
+        rdb::ReadSnapshot snapshot = stack.db.read_snapshot();
+        return sql::execute_read(snapshot.view(),
+                                 "SELECT COUNT(*) FROM article")
+            .scalar()
+            .as_integer();
+    };
+    // The writer starts once every client has a result cached, and the
+    // clients keep submitting until it is done (snapshot reads never
+    // block it), so every commit lands among cached repeats.
+    constexpr int kClients = 2;
+    constexpr int kMinReads = 200;
+    std::atomic<int> started{0};
+    std::atomic<bool> loaded{false};
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&] {
+            for (int i = 0; i < kMinReads ||
+                            !loaded.load(std::memory_order_acquire);
+                 ++i) {
+                std::int64_t floor = committed();
+                query::QueryService::Submission s =
+                    service.submit_path("count(/article)");
+                EXPECT_GE(count_of(s.get()), floor)
+                    << "a cached result older than the committed state";
+                if (i == 0) started.fetch_add(1, std::memory_order_release);
+            }
+        });
+    while (started.load(std::memory_order_acquire) < kClients)
+        std::this_thread::yield();
+    for (std::size_t i = 1; i < corpus.size(); ++i)
+        stack.loader->load(*corpus[i]);
+    loaded.store(true, std::memory_order_release);
+    for (auto& t : clients) t.join();
+
+    // Quiesced, a repeat is a hit that reports the final count.
+    std::uint64_t hits = service.stats().result_cache.hits;
+    (void)service.submit_path("count(/article)").get();
+    EXPECT_EQ(count_of(service.submit_path("count(/article)").get()),
+              static_cast<std::int64_t>(corpus.size()));
+    query::ServiceStats st = service.stats();
+    EXPECT_GE(st.result_cache.hits, hits + 1);
+    EXPECT_EQ(st.result_cache.hits + st.result_cache.misses,
+              st.path_queries);
 }
 
 // Writes routed through the service invalidate too (and are serialized

@@ -2,11 +2,14 @@
 // shedding with typed Overloaded, deadline expiry at the queue and inside
 // the executor, cooperative cancellation of abandoned submissions while a
 // retrying write holds the write latch, bounded write retry (success and
-// exhaustion), typed shutdown rejection racing submitters, and exactness
-// of the OverloadStats accounting under concurrency.  Runs in both
+// exhaustion), typed shutdown rejection racing submitters, exactness of
+// the OverloadStats accounting under concurrency, and the admission rules
+// for result-cache hits (answered on the caller's thread, never shed by a
+// full queue, still gated by shutdown and `service.admit`).  Runs in both
 // sanitizer lanes driven by scripts/sanitize_lane.sh.
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -68,6 +71,70 @@ TEST(Overload, QueueFullShedsWithTypedOverloaded) {
     EXPECT_EQ(st.overload.queue_high_water, 2u);
     // a and b are abandoned on scope exit; their tokens get cancelled and
     // the never-started tasks are dropped at service destruction.
+}
+
+// A cached query is answered at admission, on the caller's thread: it
+// needs no worker (threads = 0) and takes no queue slot, so a full
+// max_queue never sheds it.  It still counts as admitted.
+TEST(Overload, CachedQueryAnsweredAtAdmission) {
+    Stack stack(gen::paper_dtd());
+    query::ServiceOptions opts;
+    opts.threads = 0;
+    opts.max_queue = 1;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
+    std::int64_t expected = service.sql(kCount)->scalar().as_integer();
+
+    query::QueryService::Submission hit = service.submit_sql(kCount);
+    EXPECT_EQ(hit.future().wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(hit.get()->scalar().as_integer(), expected);
+
+    // Fill the one queue slot with a miss that no worker will ever run.
+    query::QueryService::Submission queued =
+        service.submit_path("count(/article)");
+    EXPECT_THROW((void)service.submit_path("count(/article/title)"),
+                 Overloaded);
+    EXPECT_EQ(service.submit_sql(kCount).get()->scalar().as_integer(),
+              expected);
+
+    query::ServiceStats st = service.stats();
+    EXPECT_EQ(st.overload.admitted, 3u);
+    EXPECT_EQ(st.overload.shed, 1u);
+    EXPECT_EQ(st.overload.queue_high_water, 1u);
+    EXPECT_EQ(st.result_cache.hits, 2u);
+    EXPECT_EQ(st.result_cache.misses, 1u);
+    EXPECT_EQ(st.sql_queries, 3u);
+}
+
+// Admission gates still apply to hits: an armed `service.admit` sheds a
+// cached query, and after shutdown() a cached query is refused with
+// ShuttingDown like any other submission.
+TEST(Overload, CachedQueryStillPassesAdmissionGates) {
+    Stack stack(gen::paper_dtd());
+    query::ServiceOptions opts;
+    opts.threads = 1;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
+    (void)service.submit_path("count(/article)").get();  // cache it
+
+    {
+        FaultGuard guard;
+        fault::arm("service.admit");
+        EXPECT_THROW((void)service.submit_path("count(/article)"),
+                     Overloaded);
+        EXPECT_TRUE(fault::fired());
+    }
+    query::ServiceStats st = service.stats();
+    EXPECT_EQ(st.overload.shed, 1u);
+    EXPECT_EQ(st.overload.admitted, 1u);
+    EXPECT_EQ(st.result_cache.hits, 0u);
+
+    (void)service.submit_path("count(/article)").get();
+    EXPECT_EQ(service.stats().result_cache.hits, 1u);
+
+    service.shutdown();
+    EXPECT_THROW((void)service.submit_path("count(/article)"), ShuttingDown);
+    EXPECT_THROW((void)service.submit_sql(kCount), ShuttingDown);
+    EXPECT_EQ(service.stats().result_cache.hits, 1u);
 }
 
 // An already-expired deadline terminates a '//' (interval plan) path
