@@ -47,8 +47,7 @@
 //       summary plus the cost-based plan (per-stage access path, estimated
 //       rows and cost).
 //       --analyze rebuilds table statistics (ANALYZE) after loading and
-//       prints the report; --no-planner disables the cost-based join
-//       reordering so statements run exactly as translated/written.
+//       prints the report.
 //       --verify runs the online integrity checker after loading and
 //       prints the report (exit 1 if it finds errors); --salvage opens
 //       --data-dir in salvage mode — corrupt snapshot sections and WAL
@@ -110,8 +109,7 @@ int usage() {
                  "[--sql STMT]... [--query PATH]... [--reconstruct N] "
                  "[--serve-threads N] [--cache-mb M] "
                  "[--deadline-ms N] [--max-queue N] [--row-budget N] "
-                 "[--explain] [--analyze] "
-                 "[--no-planner] [--verify] [--salvage]\n"
+                 "[--explain] [--analyze] [--verify] [--salvage]\n"
               << "    (with --data-dir the <xml-file> list may be empty: "
                  "--verify checks an\n"
               << "     existing database, --salvage repairs a corrupted "
@@ -174,7 +172,6 @@ int cmd_load(const std::vector<std::string>& args) {
     std::int64_t row_budget = 0;   // 0 = unlimited materialization
     bool explain = false;
     bool analyze = false;
-    bool use_planner = true;
     bool verify = false;
     bool salvage = false;
 
@@ -249,8 +246,6 @@ int cmd_load(const std::vector<std::string>& args) {
             explain = true;
         } else if (args[i] == "--analyze") {
             analyze = true;
-        } else if (args[i] == "--no-planner") {
-            use_planner = false;
         } else if (args[i] == "--verify") {
             verify = true;
         } else if (args[i] == "--salvage") {
@@ -388,17 +383,17 @@ int cmd_load(const std::vector<std::string>& args) {
     }
 
     // EXPLAIN rendering for a translated path query: the translation
-    // summary plus the cost-based plan over the generated SQL.
-    auto print_explain = [&](const xr::xquery::Translation& t) {
+    // summary plus the cost-based plan over the generated SQL, costed
+    // against `view`.
+    auto print_explain = [](const xr::rdb::ReadView& view,
+                            const xr::xquery::Translation& t) {
         std::cout << "  plan: "
                   << (t.interval_plan ? "interval" : "navigational") << ", "
                   << t.join_count << " join(s)"
                   << (t.plan_notes.empty() ? "" : "; " + t.plan_notes) << "\n";
         try {
             xr::sql::SelectStmt stmt = xr::sql::parse_select(t.sql);
-            xr::sql::PlannerOptions popts;
-            popts.enable = use_planner;
-            xr::sql::PlanInfo info = xr::sql::plan_select(db, stmt, popts);
+            xr::sql::PlanInfo info = xr::sql::plan_select(view, stmt);
             std::cout << "  " << info.to_string() << "\n";
         } catch (const xr::Error& e) {
             std::cout << "  plan: (not costed: " << e.what() << ")\n";
@@ -424,7 +419,6 @@ int cmd_load(const std::vector<std::string>& args) {
         xr::query::ServiceOptions sopts;
         sopts.threads = static_cast<std::size_t>(serve_threads);
         sopts.result_cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
-        sopts.use_planner = use_planner;
         sopts.default_deadline = std::chrono::milliseconds(deadline_ms);
         sopts.max_queue = static_cast<std::size_t>(max_queue);
         sopts.row_budget = static_cast<std::size_t>(row_budget);
@@ -474,7 +468,7 @@ int cmd_load(const std::vector<std::string>& args) {
                     // Plan under a read snapshot: statistics and tables
                     // stay stable while the service is draining writes.
                     xr::rdb::ReadSnapshot snap = db.read_snapshot();
-                    print_explain(t);
+                    print_explain(snap.view(), t);
                 }
                 std::cout << path_subs[i]->get()->to_string();
             } catch (const xr::QueryError& e) {
@@ -498,13 +492,10 @@ int cmd_load(const std::vector<std::string>& args) {
                   << ov.p99_queue_wait_us << "us\n";
     }
 
-    xr::sql::PlannerOptions planner_opts;
-    planner_opts.enable = use_planner;
     if (serve_threads == 0)
         for (const auto& stmt : sql_statements) {
             std::cout << "\nsql> " << stmt << "\n";
-            std::cout << xr::sql::execute(db, stmt, nullptr, {}, &planner_opts)
-                             .to_string();
+            std::cout << xr::sql::execute(db, stmt).to_string();
         }
 
     if (serve_threads == 0 && !path_queries.empty()) {
@@ -516,7 +507,7 @@ int cmd_load(const std::vector<std::string>& args) {
             try {
                 auto t = translator.translate(q);
                 std::cout << "  sql: " << t.sql << "\n";
-                if (explain) print_explain(t);
+                if (explain) print_explain(db, t);
                 auto results =
                     xr::xquery::materialize_results(db, t, reconstructor);
                 std::cout << xr::xml::serialize(*results,

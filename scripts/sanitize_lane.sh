@@ -7,8 +7,9 @@
 # overload/cancellation lifecycle, the concurrent serving tests
 # (`concurrency`: cached results are shared_ptrs handed to client threads
 # at admission while eviction and invalidation drop the cache's own
-# reference), the SQL executor's own tests (`sql`: the only tests that
-# reach NOT and three-valued AND/OR over NULL) and a short torture
+# reference), the SQL executor's own tests (`sql`: sql_test and
+# sql_metamorphic_test, whose random joins reach NOT and three-valued
+# AND/OR over NULL through every planned access path) and a short torture
 # campaign — every code path that handles torn/corrupt input, label
 # arithmetic, predicate evaluation, mid-query unwinding, or result
 # lifetimes across threads.  The full suite under ASan is slow; these
@@ -29,7 +30,8 @@
 # UBSan lane (`undefined`): the planner's selectivity/cost arithmetic
 # (double math over row counts, bitmask subset walks), the structural
 # interval label arithmetic, the query fuzzer, the SQL executor tests
-# (integer arithmetic, three-valued predicate evaluation) and the
+# (sql_test and sql_metamorphic_test: integer arithmetic, three-valued
+# predicate evaluation, pk probes with real keys) and the
 # integrity checker (which sums attacker-controlled label spans) — the
 # code where a silent overflow would skew a plan rather than crash.
 #

@@ -34,7 +34,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 
 QueryService::QueryService(rdb::Database& db, ServiceOptions options)
     : db_(db), options_(options) {
-    use_planner_.store(options_.use_planner, std::memory_order_relaxed);
     for (std::size_t i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this] { worker_loop(); });
 }
@@ -105,13 +104,12 @@ QueryService::Result QueryService::path(const std::string& text,
 QueryService::Result QueryService::serve(Kind kind, const std::string& text,
                                          const CancelToken& cancel) {
     cancel.check();  // a dead query gets no result, cached or not
-    bool planner = this->planner();
-    std::string key = cache_key(kind, planner, text);
+    std::string key = cache_key(kind, text);
     if (Result hit = lookup_cache(key)) {
         count_query(kind);
         return hit;
     }
-    return execute(kind, text, key, planner, cancel);
+    return execute(kind, text, key, cancel);
 }
 
 void QueryService::count_query(Kind kind) {
@@ -119,20 +117,15 @@ void QueryService::count_query(Kind kind) {
         .fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string QueryService::cache_key(Kind kind, bool planner,
-                                    const std::string& text) {
-    std::string key = planner ? "" : "np:";
-    key += kind == Kind::kPath ? "path:" : "sql:";
+std::string QueryService::cache_key(Kind kind, const std::string& text) {
+    std::string key = kind == Kind::kPath ? "path:" : "sql:";
     key += text;
     return key;
 }
 
 QueryService::Result QueryService::execute(Kind kind, const std::string& text,
                                            const std::string& key,
-                                           bool planner,
                                            const CancelToken& cancel) {
-    sql::PlannerOptions popts;
-    popts.enable = planner;
     if (kind == Kind::kPath) {
         xquery::Translation t = translate_with(text, cancel);
         count_query(kind);
@@ -142,7 +135,7 @@ QueryService::Result QueryService::execute(Kind kind, const std::string& text,
             key,
             [&] {
                 return sql::execute_read(snapshot.view(), t.sql, &exec_stats_,
-                                         cancel, &popts);
+                                         cancel);
             },
             snapshot);
     }
@@ -163,7 +156,7 @@ QueryService::Result QueryService::execute(Kind kind, const std::string& text,
         key,
         [&] {
             return sql::execute_select(snapshot.view(), stmt.select,
-                                       &exec_stats_, cancel, &popts);
+                                       &exec_stats_, cancel);
         },
         snapshot);
 }
@@ -194,8 +187,7 @@ QueryService::Submission QueryService::submit_path(std::string text) {
 
 QueryService::Submission QueryService::submit(Kind kind, std::string text) {
     admit();
-    bool planner = this->planner();
-    std::string key = cache_key(kind, planner, text);
+    std::string key = cache_key(kind, text);
     if (Result hit = lookup_cache(key)) {
         // Answered at admission: no token, task, queue slot or wakeup.
         admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -206,8 +198,9 @@ QueryService::Submission QueryService::submit(Kind kind, std::string text) {
     }
     CancelToken token = make_token(/*force_active=*/true);
     std::future<Result> future = enqueue(
-        [this, kind, planner, text = std::move(text), key = std::move(key),
-         token] { return execute(kind, text, key, planner, token); },
+        [this, kind, text = std::move(text), key = std::move(key), token] {
+            return execute(kind, text, key, token);
+        },
         token);
     return Submission(std::move(future), std::move(token));
 }

@@ -10,9 +10,8 @@
 //     was published at, so a query sees one committed state and takes no
 //     latch, even while loads or checkpoints run;
 //   * result sets are cached under a byte budget, keyed by the raw query
-//     text ("path:" or "sql:" plus the text, "np:" in front while the
-//     planner is off) and looked up *before* parsing, so a hit costs a
-//     key build and one map probe.  Each entry is tagged with the commit
+//     text ("path:" or "sql:" plus the text) and looked up *before*
+//     parsing, so a hit costs a key build and one map probe.  Each entry is tagged with the commit
 //     watermark it was computed at and served only while that is still
 //     the current watermark; an older tag is an *invalidation*: the
 //     entry is dropped and the query re-executes.  The watermark bumps
@@ -73,10 +72,6 @@ struct ServiceOptions {
     std::size_t result_cache_bytes = 16u << 20;
     /// Plan-cache entry capacity; 0 disables plan caching.
     std::size_t plan_cache_entries = 256;
-    /// Initial state of the cost-based planner toggle (DESIGN.md §13,
-    /// see set_planner()): re-cost and possibly reorder translated joins
-    /// using table statistics, or execute statements exactly as written.
-    bool use_planner = true;
 
     // ---- Overload discipline (DESIGN.md §11) ----
 
@@ -218,18 +213,6 @@ public:
     /// hits the plan cache like path() does.
     [[nodiscard]] xquery::Translation translate(const std::string& text);
 
-    /// SET-style session toggle for the cost-based planner.  Result-cache
-    /// keys carry an "np:" prefix while the planner is off, so a result
-    /// computed under one mode is never served under the other (the rows
-    /// are equal either way — the fuzzer checks that — but stats must
-    /// attribute them to the right plan).
-    void set_planner(bool on) {
-        use_planner_.store(on, std::memory_order_relaxed);
-    }
-    [[nodiscard]] bool planner() const {
-        return use_planner_.load(std::memory_order_relaxed);
-    }
-
     /// Submit for a worker thread.  Admission control applies to every
     /// submission: throws xr::ShuttingDown after shutdown() began and
     /// xr::Overloaded when the `service.admit` fault point fires.  A
@@ -291,9 +274,8 @@ private:
     /// need a live token so abandon-cancel works).
     [[nodiscard]] CancelToken make_token(bool force_active) const;
 
-    /// Result-cache key: the raw text under its kind's prefix, with "np:"
-    /// in front while the planner is off.
-    [[nodiscard]] static std::string cache_key(Kind kind, bool planner,
+    /// Result-cache key: the raw text under its kind's prefix.
+    [[nodiscard]] static std::string cache_key(Kind kind,
                                                const std::string& text);
     /// The sync entry: a result-cache hit, else execute().
     Result serve(Kind kind, const std::string& text,
@@ -305,10 +287,9 @@ private:
     /// misses are counted where the query executes (run_select).
     Result lookup_cache(const std::string& key);
     /// The miss path: translate or parse, pin a snapshot, execute and
-    /// cache (a non-SELECT goes to execute_write instead).  `planner` is
-    /// the mode `key` was built under.
+    /// cache (a non-SELECT goes to execute_write instead).
     Result execute(Kind kind, const std::string& text, const std::string& key,
-                   bool planner, const CancelToken& cancel);
+                   const CancelToken& cancel);
     Result run_select(const std::string& key,
                       const std::function<sql::ResultSet()>& exec,
                       const rdb::ReadSnapshot& snapshot);
@@ -342,7 +323,6 @@ private:
     std::atomic<std::uint64_t> sql_queries_{0};
     std::atomic<std::uint64_t> path_queries_{0};
     std::atomic<std::uint64_t> writes_{0};
-    std::atomic<bool> use_planner_{true};
     sql::ExecStats exec_stats_;
 
     // Overload counters (lifecycle classification happens in the job

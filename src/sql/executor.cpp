@@ -1,8 +1,10 @@
 #include "sql/executor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,73 +57,6 @@ bool like_match(const std::string& text, const std::string& pattern) {
     };
     return rec(0, 0);
 }
-
-struct BoundTable {
-    std::string alias;
-    const Table* table = nullptr;
-};
-
-/// Resolves column references against the FROM/JOIN tables.
-class Binder {
-public:
-    explicit Binder(std::vector<BoundTable> tables) : tables_(std::move(tables)) {}
-
-    [[nodiscard]] const std::vector<BoundTable>& tables() const { return tables_; }
-
-    void bind(Expr& e) const {
-        switch (e.kind) {
-            case Expr::Kind::kColumn: {
-                resolve_column(e);
-                return;
-            }
-            case Expr::Kind::kBinary:
-                bind(*e.left);
-                bind(*e.right);
-                return;
-            case Expr::Kind::kNot:
-            case Expr::Kind::kIsNull:
-                bind(*e.right);
-                return;
-            case Expr::Kind::kAggregate:
-                if (e.right->kind != Expr::Kind::kStar) bind(*e.right);
-                return;
-            case Expr::Kind::kLiteral:
-            case Expr::Kind::kStar:
-                return;
-        }
-    }
-
-private:
-    std::vector<BoundTable> tables_;
-
-    void resolve_column(Expr& e) const {
-        if (!e.table.empty()) {
-            for (std::size_t t = 0; t < tables_.size(); ++t) {
-                if (tables_[t].alias != e.table) continue;
-                int c = tables_[t].table->def().column_index(e.column);
-                if (c < 0)
-                    throw QueryError("no column '" + e.column + "' in '" +
-                                     e.table + "'");
-                e.bound_table = static_cast<int>(t);
-                e.bound_column = c;
-                return;
-            }
-            throw QueryError("unknown table alias '" + e.table + "'");
-        }
-        int found_t = -1, found_c = -1;
-        for (std::size_t t = 0; t < tables_.size(); ++t) {
-            int c = tables_[t].table->def().column_index(e.column);
-            if (c < 0) continue;
-            if (found_t >= 0)
-                throw QueryError("ambiguous column '" + e.column + "'");
-            found_t = static_cast<int>(t);
-            found_c = c;
-        }
-        if (found_t < 0) throw QueryError("unknown column '" + e.column + "'");
-        e.bound_table = found_t;
-        e.bound_column = found_c;
-    }
-};
 
 /// Evaluates a bound expression against one joined row context.
 class Evaluator {
@@ -243,22 +178,6 @@ private:
     }
 };
 
-/// Highest table index referenced by an expression (-1 if none).
-int max_table(const Expr& e) {
-    switch (e.kind) {
-        case Expr::Kind::kColumn: return e.bound_table;
-        case Expr::Kind::kBinary:
-            return std::max(max_table(*e.left), max_table(*e.right));
-        case Expr::Kind::kNot:
-        case Expr::Kind::kIsNull:
-            return max_table(*e.right);
-        case Expr::Kind::kAggregate:
-            return e.right->kind == Expr::Kind::kStar ? -1 : max_table(*e.right);
-        default:
-            return -1;
-    }
-}
-
 bool contains_aggregate(const Expr& e) {
     switch (e.kind) {
         case Expr::Kind::kAggregate: return true;
@@ -272,31 +191,25 @@ bool contains_aggregate(const Expr& e) {
     }
 }
 
-/// One stage of the left-deep join pipeline.
+/// A planned stage and what its access path needs at run time.
 struct Stage {
-    int table = 0;
-    // Equi-join access: probe `outer` (bound to earlier tables) against
-    // `inner_column` of this stage's table (via index or ad-hoc hash).
-    const Expr* probe_outer = nullptr;
-    int inner_column = -1;
-    bool use_index = false;
-    bool probe_pk = false;  ///< use_index via the pk lookup structure
+    const StagePlan* plan = nullptr;
+    const Table* table = nullptr;
+    bool probe_pk = false;  ///< kProbe answered by the pk lookup structure
+    /// kHashProbe: the stage's table hashed on the probed column.
     std::unordered_multimap<Value, RowId, rdb::ValueHash> hash;
-    // Literal equality for the driving table (index scan).
-    const Expr* driving_eq_literal = nullptr;
-    int driving_column = -1;
-    bool driving_index = false;
-    // Structural (interval) join: range bounds on one ordered-indexed
-    // column of this stage's table, the bound expressions referencing only
-    // earlier tables.  Evaluated per outer context and answered by binary
-    // search — how a.pre < d.pre AND d.pre < a.post containment runs.
-    int range_column = -1;
-    const Expr* range_lo = nullptr;
-    bool range_lo_strict = false;
-    const Expr* range_hi = nullptr;
-    bool range_hi_strict = false;
-    std::vector<const Expr*> residual;  ///< filters applied at this stage
 };
+
+/// The row of `t` whose primary key equals `key` under SQL `=`: numbers
+/// compare numerically, so only an integral key can match.
+std::optional<RowId> pk_match(const Table& t, const Value& key) {
+    if (key.type() == rdb::ValueType::kInteger)
+        return t.find_pk_rowid(key.as_integer());
+    if (key.type() != rdb::ValueType::kReal) return std::nullopt;
+    double d = key.as_real();
+    if (!(std::abs(d) < 9.0e18) || d != std::floor(d)) return std::nullopt;
+    return t.find_pk_rowid(static_cast<std::int64_t>(d));
+}
 
 /// Row hashing/equality over Values for DISTINCT (NULLs compare equal,
 /// numerics compare numerically — the index_order convention).
@@ -328,22 +241,26 @@ std::size_t approx_row_bytes(const Row& row) {
 class SelectExecutor {
 public:
     SelectExecutor(rdb::ReadView db, SelectStmt& stmt, ExecStats* stats,
-                   const CancelToken& cancel)
-        : db_(db), stmt_(stmt), stats_(stats), cancel_(cancel) {}
+                   const CancelToken& cancel, const PlannerOptions& options)
+        : db_(db),
+          stmt_(stmt),
+          stats_(stats),
+          cancel_(cancel),
+          options_(options),
+          binder_(db, stmt),
+          tables_(binder_.tables()) {}
 
     ResultSet run() {
-        bind_tables();
-        Binder binder(tables_);
-        Evaluator eval(binder.tables());
+        Evaluator eval(tables_);
 
         // Bind every expression.
         for (auto& item : stmt_.items)
-            if (!item.star) binder.bind(*item.expr);
+            if (!item.star) binder_.bind(*item.expr);
         for (auto& join : stmt_.joins)
-            if (join.on) binder.bind(*join.on);
-        if (stmt_.where) binder.bind(*stmt_.where);
-        for (auto& g : stmt_.group_by) binder.bind(*g);
-        if (stmt_.having) binder.bind(*stmt_.having);
+            if (join.on) binder_.bind(*join.on);
+        if (stmt_.where) binder_.bind(*stmt_.where);
+        for (auto& g : stmt_.group_by) binder_.bind(*g);
+        if (stmt_.having) binder_.bind(*stmt_.having);
         // ORDER BY may reference a select alias or a 1-based position; those
         // resolve against the output row, not a table column.
         order_output_idx_.assign(stmt_.order_by.size(), -1);
@@ -368,10 +285,11 @@ public:
                 }
                 if (matched) continue;
             }
-            binder.bind(*o.expr);
+            binder_.bind(*o.expr);
         }
 
-        build_stages();
+        plan_ = plan_bound(db_, stmt_, binder_, options_);
+        prepare_stages();
 
         // Aggregation?
         bool aggregate = !stmt_.group_by.empty();
@@ -410,20 +328,7 @@ public:
             // This keeps the cold path of a bare structural scan (a
             // join-free '//x' interval plan) at one row copy per result.
             enumerate([&](const std::vector<RowId>& ctx) {
-                Row out;
-                out.reserve(stmt_.items.size());
-                for (const auto& item : stmt_.items) {
-                    if (item.star) {
-                        for (std::size_t t = 0; t < tables_.size(); ++t) {
-                            const Row& r = tables_[t].table->row(ctx[t]);
-                            out.insert(out.end(), r.begin(), r.end());
-                        }
-                    } else {
-                        out.push_back(eval.eval(*item.expr, ctx));
-                    }
-                }
-                charge_output(out);
-                result.rows.push_back(std::move(out));
+                project(eval, ctx, result);
             });
         }
 
@@ -455,11 +360,13 @@ private:
     SelectStmt& stmt_;
     ExecStats* stats_;
     const CancelToken& cancel_;
+    PlannerOptions options_;
+    Binder binder_;
+    const std::vector<BoundTable>& tables_;  ///< inputs in written order
     std::size_t since_poll_ = 0;  ///< rows since the last cancellation poll
     ExecStats local_;  ///< this execution's counters; folded in at the end
-    std::vector<BoundTable> tables_;
-    std::vector<Stage> stages_;
-    std::vector<const Expr*> final_filters_;
+    PlanInfo plan_;
+    std::vector<Stage> stages_;  ///< plan_.stages, prepared to run
     std::vector<int> order_output_idx_;  ///< -1 = evaluate against the row ctx
 
     void count(std::atomic<std::size_t> ExecStats::*member, std::size_t n = 1) {
@@ -490,13 +397,10 @@ private:
     /// 'SELECT COUNT(*) FROM t' with no filter, grouping or sort — the
     /// answer is the table's row count.
     [[nodiscard]] bool bare_count_star() const {
-        if (stages_.size() != 1 || stmt_.where != nullptr ||
+        if (!stmt_.joins.empty() || stmt_.where != nullptr ||
             !stmt_.group_by.empty() || stmt_.having != nullptr ||
             stmt_.distinct || !stmt_.order_by.empty() ||
             stmt_.items.size() != 1)
-            return false;
-        const Stage& s = stages_[0];
-        if (!s.residual.empty() || s.driving_eq_literal != nullptr)
             return false;
         const auto& item = stmt_.items[0];
         if (item.star) return false;
@@ -506,184 +410,20 @@ private:
                e.right != nullptr && e.right->kind == Expr::Kind::kStar;
     }
 
-    void bind_tables() {
-        auto add = [&](const TableRef& ref) {
-            const Table* t = db_.table(ref.table);
-            if (t == nullptr)
-                throw QueryError("unknown table '" + ref.table + "'");
-            tables_.push_back({ref.effective_alias(), t});
-        };
-        add(stmt_.from);
-        for (const auto& join : stmt_.joins) add(join.table);
-    }
-
-    void build_stages() {
-        // Gather conjuncts of all ON clauses and WHERE, each annotated with
-        // the latest stage it can run at.
-        std::vector<const Expr*> conjuncts;
-        std::vector<std::vector<ExprPtr>> storage;  // keep ownership
-        auto split = [&](const ExprPtr& e) {
-            if (!e) return;
-            std::vector<ExprPtr> parts;
-            // We cannot move from the statement (const); walk instead.
-            std::function<void(const Expr*)> walk = [&](const Expr* node) {
-                if (node->kind == Expr::Kind::kBinary &&
-                    node->op == BinaryOp::kAnd) {
-                    walk(node->left.get());
-                    walk(node->right.get());
-                    return;
-                }
-                conjuncts.push_back(node);
-            };
-            walk(e.get());
-        };
-        for (const auto& join : stmt_.joins) split(join.on);
-        split(stmt_.where);
-        (void)storage;
-
-        stages_.resize(tables_.size());
-        for (std::size_t i = 0; i < tables_.size(); ++i)
-            stages_[i].table = static_cast<int>(i);
-
-        std::vector<bool> used(conjuncts.size(), false);
-
-        // Pick equi-join drivers for stages 1..n-1.
-        for (std::size_t s = 1; s < stages_.size(); ++s) {
-            for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-                if (used[c]) continue;
-                const Expr* e = conjuncts[c];
-                if (e->kind != Expr::Kind::kBinary || e->op != BinaryOp::kEq)
-                    continue;
-                const Expr *inner = nullptr, *outer = nullptr;
-                auto classify = [&](const Expr* side, const Expr* other) {
-                    if (side->kind == Expr::Kind::kColumn &&
-                        side->bound_table == static_cast<int>(s) &&
-                        max_table(*other) < static_cast<int>(s) &&
-                        max_table(*other) >= -1) {
-                        inner = side;
-                        outer = other;
-                    }
-                };
-                classify(e->left.get(), e->right.get());
-                if (inner == nullptr) classify(e->right.get(), e->left.get());
-                if (inner == nullptr) continue;
-                stages_[s].probe_outer = outer;
-                stages_[s].inner_column = inner->bound_column;
-                used[c] = true;
-                break;
-            }
-        }
-
-        // Driving-table literal equality: consumed only when the column is
-        // actually indexed — otherwise the conjunct must stay a residual
-        // filter.  Chosen before range bounds so a literal-bounded range
-        // scan of the driving table only kicks in without an equality.
-        for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-            if (used[c]) continue;
-            const Expr* e = conjuncts[c];
-            if (e->kind != Expr::Kind::kBinary || e->op != BinaryOp::kEq) continue;
-            auto try_side = [&](const Expr* col, const Expr* lit) {
-                if (col->kind != Expr::Kind::kColumn || col->bound_table != 0 ||
-                    lit->kind != Expr::Kind::kLiteral ||
-                    stages_[0].driving_eq_literal != nullptr)
-                    return false;
-                const std::string& name =
-                    tables_[0].table->def().columns[col->bound_column].name;
-                if (!tables_[0].table->has_index(name)) return false;
-                stages_[0].driving_eq_literal = lit;
-                stages_[0].driving_column = col->bound_column;
-                return true;
-            };
-            if (try_side(e->left.get(), e->right.get()) ||
-                try_side(e->right.get(), e->left.get()))
-                used[c] = true;
-        }
-
-        // Range probes for stages that found no equi-join driver: inequality
-        // conjuncts bounding one ordered-indexed column of the stage's table
-        // by expressions over earlier tables become a binary-searched range
-        // scan instead of a nested loop.  At most one lower and one upper
-        // bound, both on the same column; any further conjunct stays a
-        // residual filter.  Stage 0 qualifies too (max_table < 0 means the
-        // bounds are table-free): literal bounds on an ordered-indexed
-        // column turn the driving full scan into a binary-searched range.
+    /// Resolve what the planned access paths need: the pk-or-index
+    /// choice of each probe, the build side of each hash probe.
+    void prepare_stages() {
+        stages_.resize(plan_.stages.size());
         for (std::size_t s = 0; s < stages_.size(); ++s) {
+            const StagePlan& p = plan_.stages[s];
             Stage& st = stages_[s];
-            if (st.probe_outer != nullptr) continue;
-            if (s == 0 && st.driving_eq_literal != nullptr) continue;
-            for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-                if (used[c]) continue;
-                const Expr* e = conjuncts[c];
-                if (e->kind != Expr::Kind::kBinary) continue;
-                if (e->op != BinaryOp::kLt && e->op != BinaryOp::kLe &&
-                    e->op != BinaryOp::kGt && e->op != BinaryOp::kGe)
-                    continue;
-                // Normalize to: column-of-stage-s OP outer-expr.
-                const Expr *col = nullptr, *bound = nullptr;
-                bool col_on_left = false;
-                auto classify = [&](const Expr* side, const Expr* other,
-                                    bool left) {
-                    if (col == nullptr && side->kind == Expr::Kind::kColumn &&
-                        side->bound_table == static_cast<int>(s) &&
-                        max_table(*other) < static_cast<int>(s)) {
-                        col = side;
-                        bound = other;
-                        col_on_left = left;
-                    }
-                };
-                classify(e->left.get(), e->right.get(), true);
-                classify(e->right.get(), e->left.get(), false);
-                if (col == nullptr) continue;
-                if (st.range_column >= 0 && st.range_column != col->bound_column)
-                    continue;
-                const std::string& name =
-                    tables_[s].table->def().columns[col->bound_column].name;
-                if (!tables_[s].table->has_ordered_index(name)) continue;
-                // `col OP bound` with col on the right flips the direction.
-                bool greater = e->op == BinaryOp::kGt || e->op == BinaryOp::kGe;
-                if (!col_on_left) greater = !greater;
-                bool strict = e->op == BinaryOp::kGt || e->op == BinaryOp::kLt;
-                if (greater) {
-                    if (st.range_lo != nullptr) continue;
-                    st.range_lo = bound;
-                    st.range_lo_strict = strict;
-                } else {
-                    if (st.range_hi != nullptr) continue;
-                    st.range_hi = bound;
-                    st.range_hi_strict = strict;
-                }
-                st.range_column = col->bound_column;
-                used[c] = true;
-            }
-        }
-
-        // Everything else becomes a residual at the earliest possible stage.
-        for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-            if (used[c]) continue;
-            int stage = std::max(0, max_table(*conjuncts[c]));
-            stages_[stage].residual.push_back(conjuncts[c]);
-        }
-
-        // Prepare access paths.
-        Stage& first = stages_[0];
-        if (first.driving_eq_literal != nullptr)
-            first.driving_index =
-                tables_[0].table->has_index(first.driving_column);
-        for (std::size_t s = 1; s < stages_.size(); ++s) {
-            Stage& st = stages_[s];
-            if (st.probe_outer == nullptr) continue;
-            const Table* t = tables_[s].table;
-            // Prefer the table's own index over an ad-hoc hash; the pk
-            // column's lookup structure counts as an index.  Resolved
-            // once here, so a probe is one index search by position.
-            if (t->has_index(st.inner_column)) {
-                st.use_index = true;
-            } else if (t->def().columns[st.inner_column].primary_key) {
-                st.use_index = true;
-                st.probe_pk = true;
-            } else {
-                for (RowId id = 0; id < t->row_count(); ++id)
-                    st.hash.emplace(t->row(id)[st.inner_column], id);
+            st.plan = &p;
+            st.table = tables_[static_cast<std::size_t>(p.input)].table;
+            if (p.path == AccessPath::kProbe) {
+                st.probe_pk = !st.table->has_index(p.column);
+            } else if (p.path == AccessPath::kHashProbe) {
+                for (RowId id = 0; id < st.table->row_count(); ++id)
+                    st.hash.emplace(st.table->row(id)[p.column], id);
                 count(&ExecStats::hash_joins);
             }
         }
@@ -694,77 +434,70 @@ private:
         std::vector<RowId> ctx(tables_.size());
 
         std::function<void(std::size_t)> descend = [&](std::size_t s) {
-            Stage& stage = stages_[s];
-            const Table* t = tables_[s].table;
+            const Stage& stage = stages_[s];
+            const StagePlan& p = *stage.plan;
+            const Table* t = stage.table;
 
             auto accept = [&](RowId id) {
-                ctx[s] = id;
+                ctx[static_cast<std::size_t>(p.input)] = id;
                 count(&ExecStats::rows_scanned);
                 poll_cancel();
-                for (const Expr* r : stage.residual)
+                for (const Expr* r : p.residual)
                     if (!truthy(eval.eval(*r, ctx))) return;
                 if (s + 1 == stages_.size()) emit(ctx);
                 else descend(s + 1);
             };
 
-            if (s == 0 && stage.driving_eq_literal != nullptr &&
-                stage.driving_index) {
-                count(&ExecStats::index_lookups);
-                t->index_visit(stage.driving_column,
-                               stage.driving_eq_literal->literal, accept);
-                return;
-            }
-
-            if (stage.probe_outer != nullptr) {
-                Value key = eval.eval(*stage.probe_outer, ctx);
-                if (key.is_null()) return;
-                if (stage.use_index) {
-                    count(&ExecStats::index_lookups);
-                    if (stage.probe_pk) {
-                        if (auto id = t->find_pk_rowid(key.as_integer()))
-                            accept(*id);
-                    } else {
-                        t->index_visit(stage.inner_column, key, accept);
+            switch (p.path) {
+                case AccessPath::kIndexEq:
+                case AccessPath::kProbe:
+                case AccessPath::kHashProbe: {
+                    Value key = eval.eval(*p.key, ctx);
+                    if (key.is_null()) return;  // `= NULL` is never TRUE
+                    if (p.path == AccessPath::kHashProbe) {
+                        auto range = stage.hash.equal_range(key);
+                        for (auto it = range.first; it != range.second; ++it)
+                            accept(it->second);
+                        return;
                     }
-                } else {
-                    auto range = stage.hash.equal_range(key);
-                    for (auto it = range.first; it != range.second; ++it)
-                        accept(it->second);
+                    count(&ExecStats::index_lookups);
+                    if (!stage.probe_pk) {
+                        t->index_visit(p.column, key, accept);
+                    } else if (auto id = pk_match(*t, key)) {
+                        accept(*id);
+                    }
+                    return;
                 }
-                return;
+                case AccessPath::kRange: {
+                    // Bounds over earlier stages — or literals, when this
+                    // stage drives — binary-search the ordered index.
+                    Value lo, hi;
+                    const Value *lop = nullptr, *hip = nullptr;
+                    if (p.lo != nullptr) {
+                        lo = eval.eval(*p.lo, ctx);
+                        if (lo.is_null()) return;  // unknown bound: no matches
+                        lop = &lo;
+                    }
+                    if (p.hi != nullptr) {
+                        hi = eval.eval(*p.hi, ctx);
+                        if (hi.is_null()) return;
+                        hip = &hi;
+                    }
+                    count(&ExecStats::range_scans);
+                    for (RowId id : t->index_range_lookup(
+                             p.detail, lop, p.lo_strict, hip, p.hi_strict))
+                        accept(id);
+                    return;
+                }
+                case AccessPath::kNestedLoop:
+                    count(&ExecStats::nested_loop_joins);
+                    [[fallthrough]];
+                case AccessPath::kScan:
+                    for (RowId id = 0; id < t->row_count(); ++id) accept(id);
+                    return;
             }
-
-            if (stage.range_column >= 0) {
-                // Stage 0 reaches here too: literal bounds evaluate against
-                // the (empty) outer context and binary-search the driving
-                // table's ordered index instead of scanning it.
-                const std::string& col =
-                    t->def().columns[stage.range_column].name;
-                Value lo, hi;
-                const Value *lop = nullptr, *hip = nullptr;
-                if (stage.range_lo != nullptr) {
-                    lo = eval.eval(*stage.range_lo, ctx);
-                    if (lo.is_null()) return;  // unknown bound: no matches
-                    lop = &lo;
-                }
-                if (stage.range_hi != nullptr) {
-                    hi = eval.eval(*stage.range_hi, ctx);
-                    if (hi.is_null()) return;
-                    hip = &hi;
-                }
-                count(&ExecStats::range_scans);
-                for (RowId id :
-                     t->index_range_lookup(col, lop, stage.range_lo_strict,
-                                           hip, stage.range_hi_strict))
-                    accept(id);
-                return;
-            }
-
-            if (s > 0) count(&ExecStats::nested_loop_joins);
-            for (RowId id = 0; id < t->row_count(); ++id) accept(id);
         };
 
-        if (tables_.empty()) return;
         descend(0);
     }
 
@@ -787,21 +520,28 @@ private:
                    ResultSet& result) {
         for (const auto& ctx : contexts) {
             poll_cancel();
-            Row out;
-            for (const auto& item : stmt_.items) {
-                if (item.star) {
-                    for (std::size_t t = 0; t < tables_.size(); ++t) {
-                        const Row& r = tables_[t].table->row(ctx[t]);
-                        out.insert(out.end(), r.begin(), r.end());
-                    }
-                } else {
-                    out.push_back(eval.eval(*item.expr, ctx));
-                }
-            }
-            charge_output(out);
-            result.rows.push_back(std::move(out));
+            project(eval, ctx, result);
         }
         sort_rows(eval, contexts, result);
+    }
+
+    /// Append the select list of one joined row context to `result`.
+    void project(const Evaluator& eval, const std::vector<RowId>& ctx,
+                 ResultSet& result) {
+        Row out;
+        out.reserve(stmt_.items.size());
+        for (const auto& item : stmt_.items) {
+            if (item.star) {
+                for (std::size_t t = 0; t < tables_.size(); ++t) {
+                    const Row& r = tables_[t].table->row(ctx[t]);
+                    out.insert(out.end(), r.begin(), r.end());
+                }
+            } else {
+                out.push_back(eval.eval(*item.expr, ctx));
+            }
+        }
+        charge_output(out);
+        result.rows.push_back(std::move(out));
     }
 
     void sort_rows(const Evaluator& eval,
@@ -1100,11 +840,8 @@ ResultSet execute_read(const rdb::ReadView& db, std::string_view sql,
 ResultSet execute_select(const rdb::ReadView& db, SelectStmt& stmt,
                          ExecStats* stats, const CancelToken& cancel,
                          const PlannerOptions* planner) {
-    PlannerOptions popts = planner != nullptr ? *planner : PlannerOptions{};
-    // The cost-based pass only changes anything for joins; single-table
-    // statements already get their access path from build_stages().
-    if (popts.enable && !stmt.joins.empty()) plan_select(db, stmt, popts);
-    SelectExecutor executor(db, stmt, stats, cancel);
+    SelectExecutor executor(db, stmt, stats, cancel,
+                            planner != nullptr ? *planner : PlannerOptions{});
     return executor.run();
 }
 

@@ -1,16 +1,14 @@
 // SQL execution over MiniRDB.
 //
-// Planning is deliberately simple but not naive:
-//   * equality predicates on indexed columns of the driving table become
-//     index scans;
-//   * equi-joins build a hash table on the inner side, or use an existing
-//     index when one matches;
-//   * remaining predicates filter after the joins;
-//   * aggregation, GROUP BY / HAVING, ORDER BY and LIMIT run as final
-//     phases.
-// The same engine executes the paper-motivated workloads both for the
-// mapping's schema and for the inlining baselines, so query-shape
-// comparisons are apples-to-apples.
+// A SELECT runs as a left-deep pipeline of stages exactly as the planner
+// (sql/planner.hpp) chose them: each stage reads one FROM/JOIN input by
+// its planned access path — index or range scan of the driving input,
+// index, pk or ad-hoc hash probes and ordered-index ranges for the
+// rest — and filters by its residual conjuncts; aggregation, GROUP BY /
+// HAVING, ORDER BY, DISTINCT and LIMIT run as final phases.  The same
+// engine executes the paper-motivated workloads both for the mapping's
+// schema and for the inlining baselines, so query-shape comparisons are
+// apples-to-apples.
 #pragma once
 
 #include <atomic>
@@ -137,9 +135,8 @@ ResultSet execute_read(const rdb::ReadView& db, std::string_view sql,
                        const PlannerOptions* planner = nullptr);
 
 /// Execute an already-parsed SELECT.  Binding annotations are written into
-/// the AST — and the cost-based planner may rewrite the join order in
-/// place — so the statement is taken by mutable reference; re-execution of
-/// the same statement is fine (binding and planning are idempotent), but
+/// the AST, so the statement is taken by mutable reference; re-execution
+/// of the same statement is fine (binding and planning are idempotent), but
 /// two *threads* must not share one SelectStmt — give each its own parse
 /// (the query service does exactly that; plan caching caches SQL text,
 /// not ASTs).  The ReadView overload is the MVCC path: a view over a

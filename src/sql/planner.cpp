@@ -1,11 +1,14 @@
 #include "sql/planner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iomanip>
 #include <sstream>
+
+#include "common/error.hpp"
 
 namespace xr::sql {
 
@@ -15,6 +18,10 @@ using rdb::Table;
 using rdb::Value;
 
 constexpr double kInf = 1e300;
+
+/// Exhaustive DP join search up to this many inputs; larger joins fall
+/// back to a greedy min-cost-increment order.
+constexpr std::size_t kDpTableLimit = 7;
 
 double lg(double x) { return std::log2(x < 2.0 ? 2.0 : x); }
 
@@ -32,99 +39,59 @@ bool numeric(const Value& v, double& out) {
     }
 }
 
-/// Per-table planning state: statistics-backed cardinality, the product
-/// of single-table predicate selectivities, and stage-0 access hints
-/// (what the executor can do when this table drives the pipeline).
+/// Per-input planning state: statistics-backed cardinality and the
+/// product of its single-table predicate selectivities.
 struct TableInfo {
-    TableRef ref;
     const Table* table = nullptr;
     double rows = 0;
     double local_sel = 1.0;
-    bool index_eq = false;  ///< literal equality on an indexed column
-    double index_eq_sel = 1.0;
-    std::string index_eq_col;
-    bool range_lit = false;  ///< literal bound on an ordered-indexed column
-    double range_lit_sel = 1.0;
-    std::string range_lit_col;
 };
 
-/// `col(t,c) = <expr over others>` — a probe the executor can drive when
-/// every `others` table is already placed.
-struct ProbeCand {
+/// `col(t, c) op other`, normalized so the column is on the left — a key
+/// (op kEq) or bound (kLt/kLe/kGt/kGe) that the index on `t.c` can
+/// answer once every input in `others` is placed.
+struct Cand {
     int t = -1;
     int c = -1;
-    std::uint64_t others = 0;  ///< bitmask of tables the outer side reads
+    BinaryOp op = BinaryOp::kEq;
+    const Expr* other = nullptr;
+    std::uint64_t others = 0;  ///< bitmask of inputs `other` reads
 };
 
-/// `col(t,c) OP <expr over others>` (normalized direction) — a range
-/// bound answerable by the ordered index once `others` are placed.
-struct RangeCand {
-    int t = -1;
-    int c = -1;
-    std::uint64_t others = 0;
-    bool lower = false;  ///< col > expr
-};
+bool is_range(BinaryOp op) {
+    return op == BinaryOp::kLt || op == BinaryOp::kLe ||
+           op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+/// `col > x` / `col >= x`: a lower bound on col.
+bool is_lower(BinaryOp op) {
+    return op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+/// `a OP b` as `b OP' a`.
+BinaryOp flip(BinaryOp op) {
+    switch (op) {
+        case BinaryOp::kLt: return BinaryOp::kGt;
+        case BinaryOp::kLe: return BinaryOp::kGe;
+        case BinaryOp::kGt: return BinaryOp::kLt;
+        case BinaryOp::kGe: return BinaryOp::kLe;
+        default: return op;
+    }
+}
 
 struct Conjunct {
     const Expr* expr = nullptr;
-    std::uint64_t tables = 0;  ///< bitmask of referenced tables
-    double sel = 0.5;
-    std::vector<ProbeCand> eq;
-    std::vector<RangeCand> range;
+    std::uint64_t tables = 0;  ///< bitmask of referenced inputs
+    bool join = false;         ///< references two or more inputs
+    double sel = 0.5;          ///< join selectivity (join conjuncts)
+    std::vector<Cand> cands;
 };
 
-/// Column binding against the FROM/JOIN tables — same rules as the
-/// executor's binder, but failure is a "don't plan" signal, not an error
-/// (the executor will produce the diagnostic).
-class Resolver {
-public:
-    explicit Resolver(const std::vector<TableInfo>& tables) : tables_(tables) {}
-
-    [[nodiscard]] bool bind(Expr& e) const {
-        switch (e.kind) {
-            case Expr::Kind::kColumn:
-                return resolve(e);
-            case Expr::Kind::kBinary:
-                return bind(*e.left) && bind(*e.right);
-            case Expr::Kind::kNot:
-            case Expr::Kind::kIsNull:
-                return bind(*e.right);
-            case Expr::Kind::kAggregate:
-                return e.right == nullptr ||
-                       e.right->kind == Expr::Kind::kStar || bind(*e.right);
-            default:
-                return true;
-        }
-    }
-
-private:
-    const std::vector<TableInfo>& tables_;
-
-    [[nodiscard]] bool resolve(Expr& e) const {
-        if (!e.table.empty()) {
-            for (std::size_t t = 0; t < tables_.size(); ++t) {
-                if (tables_[t].ref.effective_alias() != e.table) continue;
-                int c = tables_[t].table->def().column_index(e.column);
-                if (c < 0) return false;
-                e.bound_table = static_cast<int>(t);
-                e.bound_column = c;
-                return true;
-            }
-            return false;
-        }
-        int found_t = -1, found_c = -1;
-        for (std::size_t t = 0; t < tables_.size(); ++t) {
-            int c = tables_[t].table->def().column_index(e.column);
-            if (c < 0) continue;
-            if (found_t >= 0) return false;  // ambiguous
-            found_t = static_cast<int>(t);
-            found_c = c;
-        }
-        if (found_t < 0) return false;
-        e.bound_table = found_t;
-        e.bound_column = found_c;
-        return true;
-    }
+/// The bound statement as the planner sees it: its inputs in written
+/// order and its ON conjuncts (in join order), then WHERE's.
+struct Query {
+    std::vector<TableInfo> tables;
+    std::vector<Conjunct> conjuncts;
 };
 
 std::uint64_t expr_tables(const Expr& e) {
@@ -211,19 +178,9 @@ double estimate_sel(const Expr& e, const TableInfo& ti) {
                 lit = e.left.get();
                 col_left = false;
             }
-            if (col != nullptr) {
-                BinaryOp op = e.op;
-                if (!col_left) {  // literal OP col: flip the direction
-                    switch (op) {
-                        case BinaryOp::kLt: op = BinaryOp::kGt; break;
-                        case BinaryOp::kLe: op = BinaryOp::kGe; break;
-                        case BinaryOp::kGt: op = BinaryOp::kLt; break;
-                        case BinaryOp::kGe: op = BinaryOp::kLe; break;
-                        default: break;
-                    }
-                }
-                return cmp_sel(ti, col->bound_column, op, lit->literal);
-            }
+            if (col != nullptr)  // literal OP col: flip the direction
+                return cmp_sel(ti, col->bound_column,
+                               col_left ? e.op : flip(e.op), lit->literal);
             switch (e.op) {
                 case BinaryOp::kEq: return 0.1;
                 case BinaryOp::kNe: return 0.9;
@@ -252,197 +209,168 @@ double estimate_sel(const Expr& e, const TableInfo& ti) {
     }
 }
 
-/// The executor's driving-table (stage 0) rules, mirrored: literal
-/// equality needs any index; a literal range bound needs the ordered one.
-void note_driving_hints(TableInfo& ti, const Expr& e) {
-    if (e.kind != Expr::Kind::kBinary) return;
-    const Expr *col = nullptr, *other = nullptr;
-    bool col_left = true;
-    auto pick = [&](const Expr* a, const Expr* b, bool left) {
-        if (col == nullptr && a->kind == Expr::Kind::kColumn &&
-            expr_tables(*b) == 0) {
-            col = a;
-            other = b;
-            col_left = left;
-        }
+/// The one access-path decision: how input `t` is read when it joins the
+/// inputs in `mask` (0: it drives the pipeline), fed `card_in` outer
+/// rows.  Returns the access path with the conjuncts it answers, its
+/// estimated output and incremental cost and, when `residual` is set,
+/// fills in the conjuncts first evaluable at this stage that the access
+/// leaves to filter.  The order search costs every candidate step with
+/// it; the executor runs what it returns for the chosen order.
+StagePlan choose_access(const Query& q, std::uint64_t mask, int t,
+                        double card_in, bool residual) {
+    const TableInfo& ti = q.tables[static_cast<std::size_t>(t)];
+    const Table& table = *ti.table;
+    const std::uint64_t tbit = std::uint64_t{1} << t;
+    const std::uint64_t placed = mask | tbit;
+    const double rows = ti.rows < 0 ? 0 : ti.rows;
+    auto column_name = [&](int c) -> const std::string& {
+        return table.def().columns[static_cast<std::size_t>(c)].name;
     };
-    pick(e.left.get(), e.right.get(), true);
-    pick(e.right.get(), e.left.get(), false);
-    if (col == nullptr) return;
-    const std::string& name =
-        ti.table->def().columns[col->bound_column].name;
-    if (e.op == BinaryOp::kEq && other->kind == Expr::Kind::kLiteral &&
-        ti.table->has_index(name)) {
-        if (!ti.index_eq) {
-            ti.index_eq = true;
-            ti.index_eq_sel = eq_sel(ti, col->bound_column);
-            ti.index_eq_col = name;
-        }
-        return;
-    }
-    bool is_range = e.op == BinaryOp::kLt || e.op == BinaryOp::kLe ||
-                    e.op == BinaryOp::kGt || e.op == BinaryOp::kGe;
-    if (is_range && ti.table->has_ordered_index(name)) {
-        BinaryOp op = e.op;
-        if (!col_left) {
-            switch (op) {
-                case BinaryOp::kLt: op = BinaryOp::kGt; break;
-                case BinaryOp::kLe: op = BinaryOp::kGe; break;
-                case BinaryOp::kGt: op = BinaryOp::kLt; break;
-                case BinaryOp::kGe: op = BinaryOp::kLe; break;
-                default: break;
-            }
-        }
-        double sel = other->kind == Expr::Kind::kLiteral
-                         ? cmp_sel(ti, col->bound_column, op, other->literal)
-                         : 1.0 / 3.0;
-        if (!ti.range_lit) {
-            ti.range_lit = true;
-            ti.range_lit_sel = sel;
-            ti.range_lit_col = name;
-        } else if (ti.range_lit_col == name) {
-            ti.range_lit_sel = clamp_sel(ti.range_lit_sel * sel);
-        }
-    }
-}
 
-struct StepEval {
-    AccessPath path = AccessPath::kNestedLoop;
-    std::string detail;
-    double cost = 0;
-    double out = 0;
-};
-
-/// Cost of appending table `t` to the placed set `mask` (cardinality
-/// `card_in`), choosing the access path the executor would derive for
-/// that position.
-StepEval eval_step(const std::vector<TableInfo>& tables,
-                   const std::vector<Conjunct>& joins, std::uint64_t mask,
-                   int t, double card_in) {
-    const TableInfo& ti = tables[t];
-    StepEval ev;
-    double rows = ti.rows < 0 ? 0 : ti.rows;
+    StagePlan st;
+    st.input = t;
+    std::size_t consumed[2] = {q.conjuncts.size(), q.conjuncts.size()};
+    // A range bound: at most one lower and one upper, on st.column.
+    auto take_bound = [&](const Cand& cand, std::size_t i) {
+        bool lower = is_lower(cand.op);
+        bool strict = cand.op == BinaryOp::kGt || cand.op == BinaryOp::kLt;
+        const Expr*& slot = lower ? st.lo : st.hi;
+        if (slot != nullptr) return;
+        slot = cand.other;
+        (lower ? st.lo_strict : st.hi_strict) = strict;
+        consumed[consumed[0] == q.conjuncts.size() ? 0 : 1] = i;
+    };
 
     if (mask == 0) {
-        ev.out = rows * ti.local_sel;
-        if (ti.index_eq) {
-            ev.path = AccessPath::kIndexEq;
-            ev.detail = ti.index_eq_col;
-            ev.cost = 1.0 + rows * ti.index_eq_sel;
-        } else if (ti.range_lit) {
-            ev.path = AccessPath::kRange;
-            ev.detail = ti.range_lit_col;
-            ev.cost = lg(rows) + rows * ti.range_lit_sel;
-        } else {
-            ev.path = AccessPath::kScan;
-            ev.cost = rows;
-        }
-        return ev;
-    }
-
-    std::uint64_t placed = mask | (std::uint64_t{1} << t);
-    std::uint64_t tbit = std::uint64_t{1} << t;
-    double join_sel = 1.0;
-    const ProbeCand* probe = nullptr;
-    const RangeCand* range = nullptr;
-    for (const auto& cj : joins) {
-        if ((cj.tables & tbit) == 0) continue;
-        if ((cj.tables & ~placed) != 0) continue;  // references unplaced tables
-        join_sel *= cj.sel;
-        if (probe == nullptr) {
-            for (const auto& cand : cj.eq)
-                if (cand.t == t && (cand.others & ~mask) == 0 &&
-                    (cand.others & tbit) == 0) {
-                    probe = &cand;
+        // Driving input: its single-table conjuncts offer a literal
+        // equality on an indexed column, else table-free bounds on an
+        // ordered-indexed column.
+        st.est_rows = rows * ti.local_sel;
+        for (std::size_t i = 0; i < q.conjuncts.size() && st.key == nullptr;
+             ++i) {
+            const Conjunct& cj = q.conjuncts[i];
+            if (cj.tables != tbit) continue;
+            for (const Cand& cand : cj.cands)
+                if (cand.op == BinaryOp::kEq && cand.others == 0 &&
+                    cand.other->kind == Expr::Kind::kLiteral &&
+                    table.has_index(column_name(cand.c))) {
+                    st.path = AccessPath::kIndexEq;
+                    st.column = cand.c;
+                    st.key = cand.other;
+                    st.est_cost = 1.0 + rows * eq_sel(ti, cand.c);
+                    consumed[0] = i;
                     break;
                 }
         }
-        if (probe == nullptr && range == nullptr) {
-            for (const auto& cand : cj.range) {
-                if (cand.t != t || (cand.others & ~mask) != 0 ||
-                    (cand.others & tbit) != 0)
+        double range_sel = 1.0;
+        for (std::size_t i = 0;
+             i < q.conjuncts.size() && st.path != AccessPath::kIndexEq; ++i) {
+            const Conjunct& cj = q.conjuncts[i];
+            if (cj.tables != tbit) continue;
+            for (const Cand& cand : cj.cands) {
+                if (!is_range(cand.op) || cand.others != 0) continue;
+                if (st.column >= 0 ? cand.c != st.column
+                                   : !table.has_ordered_index(
+                                         column_name(cand.c)))
                     continue;
-                const std::string& name =
-                    ti.table->def().columns[cand.c].name;
-                if (!ti.table->has_ordered_index(name)) continue;
-                range = &cand;
-                break;
+                double sel = cand.other->kind == Expr::Kind::kLiteral
+                                 ? cmp_sel(ti, cand.c, cand.op,
+                                           cand.other->literal)
+                                 : 1.0 / 3.0;
+                range_sel = st.column >= 0 ? clamp_sel(range_sel * sel) : sel;
+                st.column = cand.c;
+                take_bound(cand, i);
             }
+        }
+        if (st.path != AccessPath::kIndexEq && st.column >= 0) {
+            st.path = AccessPath::kRange;
+            st.est_cost = lg(rows) + rows * range_sel;
+        } else if (st.path != AccessPath::kIndexEq) {
+            st.est_cost = rows;  // kScan
+        }
+    } else {
+        // Joined input: the join conjuncts that become evaluable here
+        // offer an equality probe — the first wins — else bounds on an
+        // ordered-indexed column, the first such column wins.
+        auto usable = [&](const Conjunct& cj) {
+            return cj.join && (cj.tables & tbit) != 0 &&
+                   (cj.tables & ~placed) == 0;
+        };
+        auto answers = [&](const Cand& cand) {
+            return cand.t == t && (cand.others & ~mask) == 0;
+        };
+        double join_sel = 1.0;
+        const Cand* probe = nullptr;
+        for (std::size_t i = 0; i < q.conjuncts.size(); ++i) {
+            const Conjunct& cj = q.conjuncts[i];
+            if (!usable(cj)) continue;
+            join_sel *= cj.sel;
+            for (const Cand& cand : cj.cands) {
+                if (probe != nullptr || !answers(cand)) continue;
+                if (cand.op == BinaryOp::kEq) {
+                    probe = &cand;
+                    consumed[0] = i;
+                } else if (st.column < 0 && is_range(cand.op) &&
+                           table.has_ordered_index(column_name(cand.c))) {
+                    st.column = cand.c;
+                }
+            }
+        }
+        double matches = rows * ti.local_sel * join_sel;
+        st.est_rows = card_in * matches;
+        if (probe != nullptr) {
+            st.column = probe->c;
+            st.key = probe->other;
+            if (table.has_index(column_name(probe->c)) ||
+                table.def().columns[static_cast<std::size_t>(probe->c)]
+                    .primary_key) {
+                st.path = AccessPath::kProbe;
+                st.est_cost = card_in * (1.0 + matches);
+            } else {
+                st.path = AccessPath::kHashProbe;
+                st.est_cost = rows + card_in * (1.0 + matches);
+            }
+        } else if (st.column >= 0) {
+            st.path = AccessPath::kRange;
+            st.est_cost = card_in * (lg(rows) + 1.0 + matches);
+            for (std::size_t i = 0; i < q.conjuncts.size(); ++i)
+                if (usable(q.conjuncts[i]))
+                    for (const Cand& cand : q.conjuncts[i].cands)
+                        if (answers(cand) && is_range(cand.op) &&
+                            cand.c == st.column)
+                            take_bound(cand, i);
+        } else {
+            st.path = AccessPath::kNestedLoop;
+            st.est_cost = card_in * (rows < 1.0 ? 1.0 : rows);
         }
     }
 
-    double matches = rows * ti.local_sel * join_sel;
-    ev.out = card_in * matches;
-    if (probe != nullptr) {
-        const auto& coldef = ti.table->def().columns[probe->c];
-        ev.detail = coldef.name;
-        if (ti.table->has_index(coldef.name) || coldef.primary_key) {
-            ev.path = AccessPath::kProbe;
-            ev.cost = card_in * (1.0 + matches);
-        } else {
-            ev.path = AccessPath::kHashProbe;
-            ev.cost = rows + card_in * (1.0 + matches);
+    if (residual) {
+        for (std::size_t i = 0; i < q.conjuncts.size(); ++i) {
+            const Conjunct& cj = q.conjuncts[i];
+            bool ready = (cj.tables & ~placed) == 0;
+            bool earlier = mask != 0 && (cj.tables & ~mask) == 0;
+            if (ready && !earlier && i != consumed[0] && i != consumed[1])
+                st.residual.push_back(cj.expr);
         }
-    } else if (range != nullptr) {
-        ev.path = AccessPath::kRange;
-        ev.detail = ti.table->def().columns[range->c].name;
-        ev.cost = card_in * (lg(rows) + 1.0 + matches);
-    } else {
-        ev.path = AccessPath::kNestedLoop;
-        ev.cost = card_in * (rows < 1.0 ? 1.0 : rows);
     }
-    return ev;
+    return st;
 }
 
 struct PathState {
     double cost = kInf;
     double card = 0;
     std::vector<int> order;
-    std::vector<StepEval> steps;
 };
 
-PathState extend(const PathState& s, const std::vector<TableInfo>& tables,
-                 const std::vector<Conjunct>& joins, std::uint64_t mask,
+PathState extend(const Query& q, const PathState& s, std::uint64_t mask,
                  int t) {
     PathState next = s;
-    StepEval ev = eval_step(tables, joins, mask, t, s.card);
-    next.cost = (s.cost >= kInf ? 0 : s.cost) + ev.cost;
-    next.card = ev.out;
+    StagePlan st = choose_access(q, mask, t, s.card, /*residual=*/false);
+    next.cost = (s.cost >= kInf ? 0 : s.cost) + st.est_cost;
+    next.card = st.est_rows;
     next.order.push_back(t);
-    next.steps.push_back(std::move(ev));
     return next;
-}
-
-/// Move every ON conjunct into WHERE and rewrite FROM/JOIN into `order`.
-/// All joins in this dialect are inner, so the merge and the reorder are
-/// result-preserving; the executor re-derives stage access paths (and
-/// residual pushdown) from the conjunct pool for the new order.
-void apply_order(SelectStmt& stmt, const std::vector<int>& order) {
-    std::vector<TableRef> refs;
-    refs.push_back(stmt.from);
-    for (auto& j : stmt.joins) refs.push_back(j.table);
-
-    std::vector<ExprPtr> parts;
-    if (stmt.where) parts.push_back(std::move(stmt.where));
-    for (auto& j : stmt.joins)
-        if (j.on) parts.push_back(std::move(j.on));
-    ExprPtr where;
-    for (auto& p : parts) {
-        where = where ? make_binary(BinaryOp::kAnd, std::move(where),
-                                    std::move(p))
-                      : std::move(p);
-    }
-
-    stmt.from = refs[static_cast<std::size_t>(order[0])];
-    std::vector<JoinClause> joins;
-    joins.reserve(order.size() - 1);
-    for (std::size_t i = 1; i < order.size(); ++i) {
-        JoinClause j;
-        j.table = refs[static_cast<std::size_t>(order[i])];
-        joins.push_back(std::move(j));
-    }
-    stmt.joins = std::move(joins);
-    stmt.where = std::move(where);
 }
 
 }  // namespace
@@ -491,99 +419,142 @@ std::string PlanInfo::to_string() const {
     return out.str();
 }
 
-PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
-                     const PlannerOptions& options) {
-    PlanInfo info;
-    info.stats_epoch = db.stats_epoch();
-
-    std::vector<TableInfo> tables;
+Binder::Binder(const rdb::ReadView& db, const SelectStmt& stmt) {
     auto add = [&](const TableRef& ref) {
         const Table* t = db.table(ref.table);
-        if (t == nullptr) return false;
-        TableInfo ti;
-        ti.ref = ref;
-        ti.table = t;
-        ti.rows = static_cast<double>(t->row_count());
-        tables.push_back(std::move(ti));
-        return true;
+        if (t == nullptr) throw QueryError("unknown table '" + ref.table + "'");
+        tables_.push_back({ref.effective_alias(), t});
     };
-    if (!add(stmt.from)) return info;
-    for (auto& j : stmt.joins)
-        if (!add(j.table)) return info;
-    std::size_t n = tables.size();
-    if (n == 0 || n > 63) return info;
+    add(stmt.from);
+    for (const auto& join : stmt.joins) add(join.table);
+}
 
-    bool has_star = false;
-    for (const auto& item : stmt.items)
-        if (item.star) has_star = true;
+void Binder::bind(Expr& e) const {
+    switch (e.kind) {
+        case Expr::Kind::kColumn:
+            resolve_column(e);
+            return;
+        case Expr::Kind::kBinary:
+            bind(*e.left);
+            bind(*e.right);
+            return;
+        case Expr::Kind::kNot:
+        case Expr::Kind::kIsNull:
+            bind(*e.right);
+            return;
+        case Expr::Kind::kAggregate:
+            if (e.right->kind != Expr::Kind::kStar) bind(*e.right);
+            return;
+        case Expr::Kind::kLiteral:
+        case Expr::Kind::kStar:
+            return;
+    }
+}
 
-    Resolver resolver(tables);
-    for (auto& j : stmt.joins)
-        if (j.on && !resolver.bind(*j.on)) return info;
-    if (stmt.where && !resolver.bind(*stmt.where)) return info;
-
-    // Split the predicate pool into conjuncts, the order the executor
-    // sees them in (ON clauses in join order, then WHERE).
-    std::vector<const Expr*> leaves;
-    std::function<void(const Expr*)> walk = [&](const Expr* e) {
-        if (e->kind == Expr::Kind::kBinary && e->op == BinaryOp::kAnd) {
-            walk(e->left.get());
-            walk(e->right.get());
+void Binder::resolve_column(Expr& e) const {
+    if (!e.table.empty()) {
+        for (std::size_t t = 0; t < tables_.size(); ++t) {
+            if (tables_[t].alias != e.table) continue;
+            int c = tables_[t].table->def().column_index(e.column);
+            if (c < 0)
+                throw QueryError("no column '" + e.column + "' in '" +
+                                 e.table + "'");
+            e.bound_table = static_cast<int>(t);
+            e.bound_column = c;
             return;
         }
-        leaves.push_back(e);
-    };
-    for (const auto& j : stmt.joins)
-        if (j.on) walk(j.on.get());
-    if (stmt.where) walk(stmt.where.get());
+        throw QueryError("unknown table alias '" + e.table + "'");
+    }
+    int found_t = -1, found_c = -1;
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+        int c = tables_[t].table->def().column_index(e.column);
+        if (c < 0) continue;
+        if (found_t >= 0)
+            throw QueryError("ambiguous column '" + e.column + "'");
+        found_t = static_cast<int>(t);
+        found_c = c;
+    }
+    if (found_t < 0) throw QueryError("unknown column '" + e.column + "'");
+    e.bound_table = found_t;
+    e.bound_column = found_c;
+}
 
-    std::vector<Conjunct> joins;  // multi-table conjuncts only
-    for (const Expr* e : leaves) {
-        std::uint64_t refs = expr_tables(*e);
-        int popcount = 0;
-        for (std::uint64_t m = refs; m != 0; m &= m - 1) ++popcount;
-        if (popcount <= 1) {
-            if (popcount == 1) {
-                int t = 0;
-                while ((refs & (std::uint64_t{1} << t)) == 0) ++t;
-                tables[t].local_sel = clamp_sel(
-                    tables[t].local_sel * estimate_sel(*e, tables[t]));
-                note_driving_hints(tables[t], *e);
-            }
-            continue;  // table-free conjuncts don't affect ordering
+PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
+                     const PlannerOptions& options) {
+    try {
+        Binder binder(db, stmt);
+        for (auto& j : stmt.joins)
+            if (j.on) binder.bind(*j.on);
+        if (stmt.where) binder.bind(*stmt.where);
+        return plan_bound(db, stmt, binder, options);
+    } catch (const QueryError&) {
+        PlanInfo info;
+        info.stats_epoch = db.stats_epoch();
+        return info;
+    }
+}
+
+PlanInfo plan_bound(const rdb::ReadView& db, const SelectStmt& stmt,
+                    const Binder& binder, const PlannerOptions& options) {
+    PlanInfo info;
+    info.stats_epoch = db.stats_epoch();
+    const std::vector<BoundTable>& bound = binder.tables();
+    const std::size_t n = bound.size();
+    if (n > 63) throw QueryError("a SELECT joins at most 63 tables");
+
+    Query q;
+    for (const BoundTable& b : bound)
+        q.tables.push_back(
+            {b.table, static_cast<double>(b.table->row_count()), 1.0});
+
+    // Split ON (in join order), then WHERE, into conjuncts.
+    std::function<void(const Expr*)> split = [&](const Expr* e) {
+        if (e->kind == Expr::Kind::kBinary && e->op == BinaryOp::kAnd) {
+            split(e->left.get());
+            split(e->right.get());
+            return;
         }
         Conjunct cj;
         cj.expr = e;
-        cj.tables = refs;
+        cj.tables = expr_tables(*e);
+        q.conjuncts.push_back(std::move(cj));
+    };
+    for (const auto& j : stmt.joins)
+        if (j.on) split(j.on.get());
+    if (stmt.where) split(stmt.where.get());
+
+    for (Conjunct& cj : q.conjuncts) {
+        const Expr* e = cj.expr;
         if (e->kind == Expr::Kind::kBinary) {
-            auto cand_sides = [&](const Expr* a, const Expr* b, bool left) {
-                if (a->kind != Expr::Kind::kColumn) return;
-                std::uint64_t others = expr_tables(*b);
-                if (e->op == BinaryOp::kEq) {
-                    cj.eq.push_back({a->bound_table, a->bound_column, others});
-                } else if (e->op == BinaryOp::kLt || e->op == BinaryOp::kLe ||
-                           e->op == BinaryOp::kGt || e->op == BinaryOp::kGe) {
-                    bool greater =
-                        e->op == BinaryOp::kGt || e->op == BinaryOp::kGe;
-                    if (!left) greater = !greater;
-                    cj.range.push_back(
-                        {a->bound_table, a->bound_column, others, greater});
-                }
+            auto cand_side = [&](const Expr* col, const Expr* other,
+                                 BinaryOp op) {
+                if (col->kind != Expr::Kind::kColumn) return;
+                if (op != BinaryOp::kEq && !is_range(op)) return;
+                cj.cands.push_back({col->bound_table, col->bound_column, op,
+                                    other, expr_tables(*other)});
             };
-            cand_sides(e->left.get(), e->right.get(), true);
-            cand_sides(e->right.get(), e->left.get(), false);
-            if (e->op == BinaryOp::kEq) {
-                // 1/max(ndv) over the bare-column sides; both unknown
-                // falls back to a generic equi-join guess.
-                double ndv = 0;
-                for (const auto& cand : cj.eq)
-                    ndv = std::max(ndv, col_ndv(tables[cand.t], cand.c));
-                cj.sel = ndv > 0 ? 1.0 / ndv : 0.05;
-            } else {
-                cj.sel = 1.0 / 3.0;  // refined below for containment pairs
-            }
+            cand_side(e->left.get(), e->right.get(), e->op);
+            cand_side(e->right.get(), e->left.get(), flip(e->op));
         }
-        joins.push_back(std::move(cj));
+        int refs = std::popcount(cj.tables);
+        if (refs == 1) {
+            int t = std::countr_zero(cj.tables);
+            TableInfo& ti = q.tables[static_cast<std::size_t>(t)];
+            ti.local_sel = clamp_sel(ti.local_sel * estimate_sel(*e, ti));
+        }
+        if (refs < 2) continue;  // table-free conjuncts don't affect ordering
+        cj.join = true;
+        if (e->kind != Expr::Kind::kBinary) continue;
+        if (e->op == BinaryOp::kEq) {
+            // 1/max(ndv) over the bare-column sides; both unknown falls
+            // back to a generic equi-join guess.
+            double ndv = 0;
+            for (const Cand& cand : cj.cands)
+                ndv = std::max(ndv, col_ndv(q.tables[cand.t], cand.c));
+            cj.sel = ndv > 0 ? 1.0 / ndv : 0.05;
+        } else {
+            cj.sel = 1.0 / 3.0;  // refined below for containment pairs
+        }
     }
 
     // Containment-pair refinement: a lower and an upper bound on the same
@@ -591,25 +562,22 @@ PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
     // `a.pre < d.pre AND d.pre < a.post` interval join), select together
     // roughly one ancestor per bounded row — 1/rows(bounder) — instead of
     // two independent thirds.
-    for (std::size_t i = 0; i < joins.size(); ++i) {
-        for (const auto& ci : joins[i].range) {
-            if (!ci.lower) continue;
-            for (std::size_t j = 0; j < joins.size(); ++j) {
-                if (j == i) continue;
-                for (const auto& cjr : joins[j].range) {
-                    if (cjr.lower || cjr.t != ci.t || cjr.c != ci.c ||
-                        cjr.others != ci.others)
+    auto& cjs = q.conjuncts;
+    for (std::size_t i = 0; i < cjs.size(); ++i) {
+        if (!cjs[i].join) continue;
+        for (const Cand& ci : cjs[i].cands) {
+            if (!is_lower(ci.op) || std::popcount(ci.others) != 1) continue;
+            for (std::size_t j = 0; j < cjs.size(); ++j) {
+                if (j == i || !cjs[j].join) continue;
+                for (const Cand& cj : cjs[j].cands) {
+                    if (!is_range(cj.op) || is_lower(cj.op) || cj.t != ci.t ||
+                        cj.c != ci.c || cj.others != ci.others)
                         continue;
-                    int popcount = 0;
-                    for (std::uint64_t m = ci.others; m != 0; m &= m - 1)
-                        ++popcount;
-                    if (popcount != 1) continue;
-                    int other = 0;
-                    while ((ci.others & (std::uint64_t{1} << other)) == 0)
-                        ++other;
-                    double r = tables[other].rows;
-                    joins[i].sel = clamp_sel(r > 1.0 ? 1.0 / r : 1.0);
-                    joins[j].sel = 1.0;
+                    double r = q.tables[static_cast<std::size_t>(
+                                            std::countr_zero(ci.others))]
+                                   .rows;
+                    cjs[i].sel = clamp_sel(r > 1.0 ? 1.0 / r : 1.0);
+                    cjs[j].sel = 1.0;
                 }
             }
         }
@@ -619,28 +587,30 @@ PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
 
     // As-written baseline.
     PathState base;
-    base.cost = kInf;
     std::uint64_t mask = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        base = extend(base, tables, joins, mask, static_cast<int>(i));
+        base = extend(q, base, mask, static_cast<int>(i));
         mask |= std::uint64_t{1} << i;
     }
 
+    bool has_star = false;
+    for (const auto& item : stmt.items)
+        if (item.star) has_star = true;
+
     PathState winner = base;
     bool try_reorder = options.enable && n >= 2 && !has_star;
-    if (try_reorder && n <= options.dp_table_limit) {
+    if (try_reorder && n <= kDpTableLimit) {
         // Selinger-style exhaustive left-deep DP over subsets.
         std::vector<PathState> best(std::size_t{1} << n);
         for (std::size_t t = 0; t < n; ++t)
-            best[std::size_t{1} << t] = extend(PathState{}, tables, joins, 0,
-                                               static_cast<int>(t));
+            best[std::size_t{1} << t] =
+                extend(q, PathState{}, 0, static_cast<int>(t));
         for (std::uint64_t m = 1; m < (std::uint64_t{1} << n); ++m) {
             if (best[m].cost >= kInf) continue;
             for (std::size_t t = 0; t < n; ++t) {
                 std::uint64_t bit = std::uint64_t{1} << t;
                 if ((m & bit) != 0) continue;
-                PathState cand =
-                    extend(best[m], tables, joins, m, static_cast<int>(t));
+                PathState cand = extend(q, best[m], m, static_cast<int>(t));
                 PathState& slot = best[m | bit];
                 if (cand.cost < slot.cost) slot = std::move(cand);
             }
@@ -656,8 +626,7 @@ PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
             for (std::size_t t = 0; t < n; ++t) {
                 std::uint64_t bit = std::uint64_t{1} << t;
                 if ((placed & bit) != 0) continue;
-                PathState cand =
-                    extend(g, tables, joins, placed, static_cast<int>(t));
+                PathState cand = extend(q, g, placed, static_cast<int>(t));
                 if (cand.cost < pick.cost ||
                     (cand.cost == pick.cost && cand.card < pick.card))
                     pick = std::move(cand);
@@ -668,20 +637,26 @@ PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
         if (g.cost < winner.cost * 0.99) winner = std::move(g);
     }
 
-    std::vector<int> identity(n);
-    for (std::size_t i = 0; i < n; ++i) identity[i] = static_cast<int>(i);
-    info.reordered = winner.order != identity;
+    // The winning order's stages, with their residual filters.
     info.total_cost = winner.cost;
     info.est_rows = winner.card;
     info.stages.reserve(n);
-    for (std::size_t i = 0; i < winner.order.size(); ++i) {
-        const TableInfo& ti = tables[static_cast<std::size_t>(winner.order[i])];
-        const StepEval& ev = winner.steps[i];
-        info.stages.push_back({ti.ref.effective_alias(), ti.ref.table, ev.path,
-                               ev.detail, ev.out, ev.cost});
+    double card = 0;
+    mask = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        int t = winner.order[i];
+        if (t != static_cast<int>(i)) info.reordered = true;
+        StagePlan st = choose_access(q, mask, t, card, /*residual=*/true);
+        const rdb::Table& table = *bound[static_cast<std::size_t>(t)].table;
+        st.alias = bound[static_cast<std::size_t>(t)].alias;
+        st.table = table.def().name;
+        if (st.column >= 0)
+            st.detail =
+                table.def().columns[static_cast<std::size_t>(st.column)].name;
+        card = st.est_rows;
+        mask |= std::uint64_t{1} << t;
+        info.stages.push_back(std::move(st));
     }
-
-    if (info.reordered) apply_order(stmt, winner.order);
     return info;
 }
 

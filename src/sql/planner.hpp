@@ -2,21 +2,20 @@
 //
 // The xquery translator emits join chains in *path order* — fine for
 // `/a/b/c` walked root-down, terrible when the selective predicate sits
-// at the tail of the chain.  plan_select() re-costs the translated (or
-// hand-written) statement using per-table statistics (rdb/stats.hpp):
-// sargable single-table predicates estimate per-table selectivity,
-// equi-/range-join conjuncts estimate join selectivity, and a Selinger-
-// style left-deep search (exhaustive DP up to dp_table_limit tables,
-// greedy beyond) picks the join order with the cheapest access-path-
-// aware cost.  The winning order is written back into the statement —
-// ON conjuncts merge into WHERE (all joins in this dialect are inner),
-// and the executor's existing stage builder then re-derives index
-// probes, range scans and residual placement for the new order, which
-// is also what pushes sargable predicates to their earliest stage.
+// at the tail of the chain.  The planner is the one place that decides
+// how a SELECT runs: the order its FROM/JOIN inputs are enumerated in
+// and, for every stage of that order, the access path (index_eq, range,
+// scan for the driving input; pk/index probe, hash probe, ordered-index
+// range, nested loop for the rest), the conjuncts the access answers and
+// the residual filters the stage applies.  One function makes that
+// per-stage decision; the Selinger-style left-deep search (exhaustive DP
+// up to 7 inputs, greedy beyond) costs every candidate step with it
+// using per-table statistics (rdb/stats.hpp), and the executor runs the
+// stages of the winning order exactly as PlanInfo prints them.
 //
-// The pass is purely a rewrite: it never changes the result multiset,
-// only the enumeration order — verified continuously by the SQL-vs-DOM
-// differential fuzzer running with the planner on and off.
+// Planning never changes the result multiset, only the enumeration
+// order — verified continuously by the SQL-vs-DOM differential fuzzer
+// and the metamorphic SQL tests running with the planner on and off.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +29,13 @@
 namespace xr::sql {
 
 struct PlannerOptions {
-    /// Master switch: off leaves the statement exactly as written (the
-    /// as-translated baseline the fuzzer and benches compare against).
+    /// Master switch: off runs the inputs in the order written (the
+    /// as-translated baseline the fuzzers and benches compare against);
+    /// each stage still gets its access path from the planner.
     bool enable = true;
-    /// Exhaustive dynamic-programming join search up to this many tables;
-    /// larger chains fall back to a greedy min-cost-increment order.
-    std::size_t dp_table_limit = 7;
 };
 
-/// Access path the executor will use for one stage of the chosen order.
+/// Access path of one stage of the chosen order.
 enum class AccessPath {
     kScan,        ///< full scan of the driving table
     kIndexEq,     ///< driving table: literal equality via index
@@ -50,9 +47,10 @@ enum class AccessPath {
 
 [[nodiscard]] std::string_view to_string(AccessPath p);
 
-/// One stage of the (re)ordered pipeline, for EXPLAIN and plan-shape
-/// tests.  est_rows is the estimated *cumulative* cardinality after the
-/// stage; est_cost the stage's incremental cost in row-visit units.
+/// One stage of the chosen pipeline.  est_rows is the estimated
+/// *cumulative* cardinality after the stage; est_cost the stage's
+/// incremental cost in row-visit units.  The remaining fields are what
+/// the executor runs; their expressions point into the planned statement.
 struct StagePlan {
     std::string alias;
     std::string table;
@@ -60,6 +58,20 @@ struct StagePlan {
     std::string detail;  ///< column driving the access path, if any
     double est_rows = 0;
     double est_cost = 0;
+
+    int input = 0;    ///< FROM/JOIN position as written (Expr::bound_table)
+    int column = -1;  ///< the column `detail` names
+    /// kIndexEq: the literal; kProbe / kHashProbe: the expression over
+    /// earlier stages whose value is looked up in `column`.
+    const Expr* key = nullptr;
+    /// kRange: at most one lower and one upper bound on `column`.
+    const Expr* lo = nullptr;
+    bool lo_strict = false;
+    const Expr* hi = nullptr;
+    bool hi_strict = false;
+    /// Conjuncts first evaluable at this stage that the access path does
+    /// not answer, filtered on every row it produces.
+    std::vector<const Expr*> residual;
 };
 
 struct PlanInfo {
@@ -77,16 +89,46 @@ struct PlanInfo {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// Cost and (when options.enable and it wins) reorder `stmt` in place.
-/// Reads table statistics through a ReadView — either a pinned
-/// DatabaseVersion (the query service plans inside its ReadSnapshot,
-/// latch-free) or the live database (writer-thread / quiesced callers,
-/// via ReadView's implicit conversion).  Statements the
-/// pass cannot reason about — unknown tables, ambiguous columns, `SELECT
-/// *` with joins (column order depends on table order) — are left
-/// untouched with planned=false; the executor then reports the error or
-/// runs the statement as written.
+/// A FROM/JOIN input of a SELECT.
+struct BoundTable {
+    std::string alias;
+    const rdb::Table* table = nullptr;
+};
+
+/// The binder of planning and execution: resolves the FROM/JOIN inputs
+/// of a SELECT in written order (Expr::bound_table indexes them) and
+/// column references against them, throwing QueryError for unknown
+/// tables, unknown or ambiguous columns.
+class Binder {
+public:
+    Binder(const rdb::ReadView& db, const SelectStmt& stmt);
+
+    [[nodiscard]] const std::vector<BoundTable>& tables() const {
+        return tables_;
+    }
+    void bind(Expr& e) const;
+
+private:
+    std::vector<BoundTable> tables_;
+
+    void resolve_column(Expr& e) const;
+};
+
+/// Cost and order `stmt`: the plan the executor runs.  Reads table
+/// statistics through a ReadView — either a pinned DatabaseVersion (the
+/// query service plans inside its ReadSnapshot, latch-free) or the live
+/// database (writer-thread / quiesced callers, via ReadView's implicit
+/// conversion).  Binds the ON and WHERE column references in place and
+/// never reorders the statement itself.  A statement that does not bind
+/// (unknown tables, ambiguous columns) yields planned=false; executing
+/// it reports the error.  `SELECT *` with joins is costed in the order
+/// written, never reordered (column order depends on table order).
 PlanInfo plan_select(const rdb::ReadView& db, SelectStmt& stmt,
                      const PlannerOptions& options = {});
+
+/// plan_select() for a statement whose ON and WHERE `binder` has already
+/// bound — the executor's entry.  Throws QueryError past 63 inputs.
+PlanInfo plan_bound(const rdb::ReadView& db, const SelectStmt& stmt,
+                    const Binder& binder, const PlannerOptions& options);
 
 }  // namespace xr::sql

@@ -180,30 +180,6 @@ TEST(ConcurrentQuery, EachServedQueryCountsOneHitOrMiss) {
     EXPECT_EQ(st.overload.admitted, 2u);
 }
 
-// The planner toggle is part of the key at admission too: a submission
-// made with the planner off never hits the planner-on entry of the same
-// text (and vice versa), while each mode hits its own entry.
-TEST(ConcurrentQuery, PlannerOffSubmissionNeverHitsPlannerOnEntry) {
-    Stack stack(gen::paper_dtd());
-    auto corpus = gen::bibliography_corpus(2, 60, 8);
-    for (auto& doc : corpus) stack.loader->load(*doc);
-    query::ServiceOptions opts;
-    opts.threads = 1;
-    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
-
-    const std::string q = "count(/article/author)";
-    std::int64_t on = count_of(service.submit_path(q).get());
-    service.set_planner(false);
-    EXPECT_EQ(count_of(service.submit_path(q).get()), on);
-    EXPECT_EQ(service.stats().result_cache.hits, 0u);
-    EXPECT_EQ(service.stats().result_cache.misses, 2u);
-    EXPECT_EQ(count_of(service.submit_path(q).get()), on);  // np: entry
-    service.set_planner(true);
-    EXPECT_EQ(count_of(service.submit_path(q).get()), on);  // planner-on
-    EXPECT_EQ(service.stats().result_cache.hits, 2u);
-    EXPECT_EQ(service.stats().result_cache.misses, 2u);
-}
-
 // Admission hits racing commits (TSan): a hit is served only at the
 // current watermark, so no result is older than the committed state a
 // client observed before submitting.  The floor is read from a fresh

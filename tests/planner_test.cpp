@@ -2,7 +2,8 @@
 // incremental vs full-rebuild statistics, epoch bumps, persistence of
 // the xrel_stats catalog through snapshot + WAL recovery, golden plan
 // shapes from plan_select(), planner-on/off result equivalence, plan
-// cache invalidation by statistics epoch, and the query-service toggle.
+// cache invalidation by statistics epoch, and that execution runs the
+// access paths the plan prints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,13 +16,11 @@
 
 #include "gen/corpora.hpp"
 #include "helpers.hpp"
-#include "query/service.hpp"
 #include "rdb/snapshot.hpp"
 #include "rdb/stats.hpp"
 #include "sql/executor.hpp"
 #include "sql/parser.hpp"
 #include "sql/planner.hpp"
-#include "xml/parser.hpp"
 #include "xquery/plan_cache.hpp"
 #include "xquery/query.hpp"
 #include "xquery/sql_translate.hpp"
@@ -364,29 +363,54 @@ TEST(PlannerCache, TranslationCacheKeyedByEpoch) {
     EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(PlannerService, ToggleKeepsResultsAndSeparatesCacheKeys) {
-    test::Stack stack(gen::paper_dtd());
-    auto doc = xml::parse_document(gen::paper_sample_document());
-    stack.loader->load(*doc);
-    query::QueryService service(stack.db, stack.mapping, stack.schema);
-    EXPECT_TRUE(service.planner());
+// The plan EXPLAIN prints is the plan that runs.  `b` drives through its
+// index on k, then `a` is probed through its index on x: the ON conjunct
+// comes first in conjunct order, so the WHERE equality `b.w = a.z` (no
+// index on z) stays a residual filter instead of forcing a hash build of
+// all of `a`.
+TEST(PlannerExecution, RunsThePrintedAccessPaths) {
+    rdb::Database db;
+    sql::execute(db, "CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER, "
+                     "z INTEGER)");
+    sql::execute(db, "CREATE TABLE b (id INTEGER PRIMARY KEY, y INTEGER, "
+                     "w INTEGER, k INTEGER)");
+    for (int base = 0; base < 2000; base += 100) {
+        std::string ins_a = "INSERT INTO a (x, z) VALUES ";
+        std::string ins_b = "INSERT INTO b (y, w, k) VALUES ";
+        for (int i = base; i < base + 100; ++i) {
+            std::string sep = i == base ? "" : ", ";
+            ins_a += sep + "(" + std::to_string(i) + ", " +
+                     std::to_string(i % 7) + ")";
+            ins_b += sep + "(" + std::to_string(i) + ", " +
+                     std::to_string(i % 7) + ", " + std::to_string(i) + ")";
+        }
+        sql::execute(db, ins_a);
+        sql::execute(db, ins_b);
+    }
+    sql::execute(db, "CREATE INDEX ON a (x)");
+    sql::execute(db, "CREATE INDEX ON b (k)");
+    db.analyze();
 
-    const std::string q = "/article/author[name/lastname = 'Smith']";
-    query::QueryService::Result on = service.path(q);
-    service.set_planner(false);
-    EXPECT_FALSE(service.planner());
-    // The "np:" key namespace means this is a fresh execution, not a
-    // cache hit against the planner-on entry.
-    query::QueryService::Result off = service.path(q);
-    EXPECT_EQ(service.stats().result_cache.hits, 0u);
-    ASSERT_EQ(on->row_count(), off->row_count());
-    for (std::size_t i = 0; i < on->row_count(); ++i)
-        for (std::size_t c = 0; c < on->rows[i].size(); ++c)
-            EXPECT_EQ(on->rows[i][c].to_string(),
-                      off->rows[i][c].to_string());
-    service.set_planner(true);
-    (void)service.path(q);  // back on: hits the original cache entry
-    EXPECT_EQ(service.stats().result_cache.hits, 1u);
+    const std::string q =
+        "SELECT a.id FROM a JOIN b ON b.y = a.x "
+        "WHERE b.w = a.z AND b.k = 5";
+    sql::SelectStmt stmt = sql::parse_select(q);
+    sql::PlanInfo info = sql::plan_select(db, stmt);
+    ASSERT_TRUE(info.planned);
+    EXPECT_TRUE(info.reordered);
+    EXPECT_EQ(info.shape(), "index_eq(b.k) probe(a.x)");
+
+    sql::ExecStats stats;
+    sql::ResultSet on = sql::execute_select(db, stmt, &stats);
+    EXPECT_EQ(stats.hash_joins, 0u);
+    EXPECT_EQ(stats.index_lookups, 2u);  // b.k = 5, then one probe of a.x
+
+    sql::PlannerOptions off;
+    off.enable = false;
+    sql::ResultSet as_written = sql::execute(db, q, nullptr, {}, &off);
+    ASSERT_EQ(on.row_count(), 1u);
+    ASSERT_EQ(as_written.row_count(), 1u);
+    EXPECT_EQ(on.rows[0][0].as_integer(), as_written.rows[0][0].as_integer());
 }
 
 }  // namespace

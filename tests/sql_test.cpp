@@ -191,6 +191,44 @@ TEST_F(SqlFixture, IndexScanOnDrivingTable) {
     EXPECT_LT(stats.rows_scanned, 3u);
 }
 
+// `= NULL` is never TRUE, also when an index answers the equality.
+TEST_F(SqlFixture, IndexedEqualityWithNullMatchesNothing) {
+    db.table("emp")->create_index("dept");
+    for (bool planner : {true, false}) {
+        PlannerOptions popts;
+        popts.enable = planner;
+        ExecStats stats;
+        EXPECT_EQ(execute(db, "SELECT name FROM emp WHERE dept = NULL", &stats,
+                          {}, &popts)
+                      .row_count(),
+                  0u)
+            << "planner " << planner;
+    }
+}
+
+// A primary-key probe compares like `=`: a real key matches only the
+// integral pk it equals, a text key matches no integer pk.
+TEST(SqlJoin, PkProbeComparesLikeEquality) {
+    rdb::Database db;
+    execute(db, "CREATE TABLE p (pk INTEGER PRIMARY KEY, v TEXT)");
+    execute(db, "CREATE TABLE k (pk INTEGER PRIMARY KEY, r REAL, s TEXT)");
+    execute(db, "INSERT INTO p VALUES (1, 'one'), (2, 'two')");
+    execute(db, "INSERT INTO k (r, s) VALUES (1.5, '1'), (2.0, 'x')");
+    PlannerOptions off;  // k drives, p is probed through its pk
+    off.enable = false;
+    ExecStats stats;
+    ResultSet real = execute(db, "SELECT p.v FROM k JOIN p ON p.pk = k.r",
+                             &stats, {}, &off);
+    ASSERT_EQ(real.row_count(), 1u);
+    EXPECT_EQ(real.at(0, 0).as_text(), "two");
+    EXPECT_GT(stats.index_lookups, 0u);
+    EXPECT_EQ(stats.hash_joins, 0u);
+    EXPECT_EQ(execute(db, "SELECT p.v FROM k JOIN p ON p.pk = k.s", nullptr,
+                      {}, &off)
+                  .row_count(),
+              0u);
+}
+
 TEST_F(SqlFixture, UnindexedEqualityStillFilters) {
     auto rs = q("SELECT name FROM emp WHERE salary = 110");
     ASSERT_EQ(rs.row_count(), 1u);
